@@ -56,7 +56,7 @@ class SummaryBench extends SparkSpec {
     val n = df.count()
     val pre = Preprocess.run(df)
     val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
-    val seeds = pre.specs.indices.map(i => i -> GreedyGD.baseValues(compressed, pre.specs(i).name)).toMap
+    val seeds = GreedyGD.seeds(compressed, pre.specs)
     val ph = repro.core.Builder.buildFromDf(pre.df, pre.specs, n, nS = 20000, m = 200, alpha = 0.001, initialEdges = seeds)
     val synopsis = Codec.sizeBytes(ph)
 

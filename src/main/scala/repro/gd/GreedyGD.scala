@@ -1,6 +1,9 @@
 package repro.gd
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import java.util.concurrent.ConcurrentHashMap
+
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 
@@ -26,6 +29,12 @@ object GreedyGD {
 
   /** Bits moved to the deviation per greedy step. */
   val BitStep = 4
+
+  /** Most seeds kept per column. Algorithm 1 downsamples seeds to
+    * ceil(Ns/M) anyway, so more than a few thousand would only burn driver
+    * memory.
+    */
+  val SeedCap = 10000
 
   final case class Config(devBits: Array[Int], totalBits: Array[Int]) {
     def baseMask(c: Int): Long = if (devBits(c) >= 63) 0L else -1L << devBits(c)
@@ -53,6 +62,14 @@ object GreedyGD {
     def originalBytes: Long = nRows * config.totalBits.map(ceilDiv(_, 8).toLong).sum
 
     def ratio: Double = originalBytes.toDouble / compressedBytes
+
+    private val seedMemo = new ConcurrentHashMap[Int, Map[String, Array[Double]]]()
+
+    /** Per-column seeds under `cap`, computed for every column at once on
+      * first use (see [[distinctBases]]) and memoised per cap.
+      */
+    private[gd] def baseSeeds(cap: Int): Map[String, Array[Double]] =
+      seedMemo.computeIfAbsent(cap, c => distinctBases(bases, c))
 
     /** Lossless reconstruction: join deviations to bases and OR the parts. */
     def decompress(columns: Array[String]): DataFrame = {
@@ -136,7 +153,7 @@ object GreedyGD {
     * given config. All heavy lifting is DataFrame dataflow: masking is a
     * projection; base dedup is a distinct + id assignment.
     */
-  def compress(df: DataFrame, config: Config): Compressed = {
+  def compress(df: DataFrame, config: Config, nRows: Long): Compressed = {
     val cols = df.columns
     val shifted = df.select(cols.map(c => coalesce(col(c) + 1L, lit(0L)).as(c)).toIndexedSeq: _*)
 
@@ -160,36 +177,59 @@ object GreedyGD {
         cols.map(c => projected(s"__b_$c") === bases(c)).reduce(_ && _)
       )
       .select((Seq(col("gd_base_id")) ++ cols.map(c => col(s"__d_$c").as(c))).toIndexedSeq: _*)
-    val nRows = df.count()
     Compressed(bases, deviations, config, nBases, nRows)
   }
 
   /** End-to-end: choose a config from a sample of `df`, then compress. */
   def run(df: DataFrame, sampleRows: Int = 20000, seed: Long = 7): Compressed = {
     val d = df.columns.length
+    val nRows = df.count()
     val local = repro.util.Sampling
-      .collectRows(df, sampleRows, seed, df.count())
+      .collectRows(df, sampleRows, seed, nRows)
       .map(r => Array.tabulate(d)(c => if (r.isNullAt(c)) -1L else r.getLong(c)))
-    compress(df, chooseConfig(local, d))
+    compress(df, chooseConfig(local, d), nRows)
   }
 
-  /** Distinct base values per column in the GD domain (null base dropped),
-    * sorted — the seeds for PairwiseHist initial bin edges (§3). Capped:
-    * Algorithm 1 downsamples seeds to ceil(Ns/M) anyway, so collecting more
-    * than a few thousand distinct values would only burn driver memory.
+  /** Distinct base values of `column` in the GD domain (null base dropped),
+    * sorted: the seeds for PairwiseHist initial bin edges (§3). A column with
+    * more than `maxValues` of them keeps `maxValues`, evenly spaced in rank.
+    * Reads the memo on `compressed`, so calling this for every column costs
+    * one Spark query in total.
     */
-  def baseValues(compressed: Compressed, column: String, maxValues: Int = 10000): Array[Double] = {
-    val distinct = compressed.bases.select(col(column)).distinct()
-    val cnt = distinct.count()
-    val picked =
-      if (cnt <= maxValues) distinct
-      else distinct.sample(withReplacement = false, maxValues.toDouble / cnt * 1.2, 17)
-    picked
+  def baseValues(compressed: Compressed, column: String, maxValues: Int = SeedCap): Array[Double] =
+    compressed.baseSeeds(maxValues)(column)
+
+  /** [[baseValues]] of every column, keyed by column index in `specs`. */
+  def seeds(compressed: Compressed, specs: Array[ColumnSpec]): Map[Int, Array[Double]] =
+    specs.indices.map(i => i -> baseValues(compressed, specs(i).name)).toMap
+
+  /** Distinct non-null base values of every column of a base table, in one
+    * Spark query. A column with `n > cap` of them keeps the value at rank `r`
+    * (0-based, ascending) when `r * cap / n` starts a new integer, i.e.
+    * exactly `cap` values evenly spaced in rank, whatever the partitioning.
+    */
+  private[gd] def distinctBases(bases: DataFrame, cap: Int): Map[String, Array[Double]] = {
+    val cols = bases.columns.filterNot(_ == "gd_base_id")
+    val byIdx = Window.partitionBy("idx").orderBy("v")
+    val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+    val picked = bases
+      .select(explode(array(cols.zipWithIndex.map { case (c, i) =>
+        struct(lit(i).as("idx"), col(c).as("v"))
+      }.toIndexedSeq: _*)).as("e"))
+      .select("e.idx", "e.v")
+      .filter(col("v") > 0L) // 0 is the shifted null
+      .repartition(col("idx")) // one shuffle serves both the distinct and the window
+      .distinct()
+      .withColumn("r", row_number().over(byIdx) - 1L)
+      .withColumn("n", count(lit(1)).over(wholeIdx))
+      .filter(col("n") <= cap || col("r") === 0L || expr(s"(r * $cap) div n > ((r - 1) * $cap) div n"))
+      .select("idx", "v")
       .collect()
-      .map(_.getLong(0))
-      .filter(_ > 0L)
-      .map(v => (v - 1L).toDouble) // undo the +1 null shift
-      .sorted
+    val byCol = picked.groupBy(_.getInt(0))
+    cols.indices.map { i =>
+      val shifted = byCol.getOrElse(i, Array.empty).map(_.getLong(1)).sorted
+      cols(i) -> shifted.map(v => (v - 1L).toDouble) // undo the +1 null shift
+    }.toMap
   }
 
   private def ceilDiv(a: Int, b: Int): Int = (a + b - 1) / b

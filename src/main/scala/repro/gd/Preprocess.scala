@@ -1,6 +1,7 @@
 package repro.gd
 
 import org.apache.spark.sql.{Column, DataFrame}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 
@@ -76,16 +77,20 @@ object Preprocess {
   /** Max decimal places probed during float-to-int conversion. */
   private val MaxDecimals = 6
 
-  /** Distinct-count guard for dictionary encoding. */
-  private val MaxDictSize = 100000
+  /** Most distinct values a string column may have; `fit` rejects more. */
+  val MaxDictSize = 100000
 
   def run(df: DataFrame): Result = {
     val specs = fit(df)
     Result(apply(df, specs), specs)
   }
 
-  /** One aggregation pass for numeric stats + one small job per categorical
-    * column for its frequency-ranked dictionary.
+  /** Two Spark queries whatever the width of `df`: one aggregation for the
+    * numeric stats and null counts, and one for the frequency-ranked
+    * dictionaries of all string columns (see [[dictionaries]]).
+    *
+    * @throws IllegalArgumentException if a string column has more than
+    *   [[MaxDictSize]] distinct values
     */
   def fit(df: DataFrame): Array[ColumnSpec] = {
     val fields = df.schema.fields
@@ -111,19 +116,13 @@ object Preprocess {
       }
     }
     val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val dicts = dictionaries(df)
 
-    fields.map { f =>
+    fields.zipWithIndex.map { case (f, i) =>
       val nulls = Option(row.getAs[Long](s"${f.name}__nulls")).getOrElse(0L)
       f.dataType match {
         case StringType =>
-          val dict = df
-            .filter(col(f.name).isNotNull)
-            .groupBy(col(f.name)).count()
-            .orderBy(desc("count"), col(f.name))
-            .limit(MaxDictSize)
-            .collect()
-            .map(_.getString(0))
-          ColumnSpec(f.name, CategoricalCol(dict), nulls)
+          ColumnSpec(f.name, CategoricalCol(dicts.getOrElse(i, Array.empty)), nulls)
         case DoubleType | FloatType | _: DecimalType =>
           val p = (0 to MaxDecimals)
             .find { p =>
@@ -137,6 +136,41 @@ object Preprocess {
         case _ =>
           val mn = Option(row.getAs[Any](s"${f.name}__min")).map(_.asInstanceOf[Double]).getOrElse(0.0)
           ColumnSpec(f.name, NumericCol(1L, math.rint(mn).toLong), nulls)
+      }
+    }
+  }
+
+  /** Frequency-ranked dictionary of every string column, keyed by field
+    * index, in one Spark query: all (column, value) pairs are counted in one
+    * aggregation and ranked by descending count, then value. The ranking
+    * stays in Spark so ties order by Spark's UTF-8 byte order of strings.
+    */
+  private def dictionaries(df: DataFrame): Map[Int, Array[String]] = {
+    val fields = df.schema.fields
+    val pairs = fields.indices.collect {
+      case i if fields(i).dataType == StringType => struct(lit(i).as("idx"), col(fields(i).name).as("value"))
+    }
+    if (pairs.isEmpty) Map.empty
+    else {
+      val byIdx = Window.partitionBy("idx").orderBy(desc("count"), col("value"))
+      val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+      val ranked = df
+        .select(explode(array(pairs: _*)).as("e"))
+        .select("e.idx", "e.value")
+        .filter(col("value").isNotNull)
+        .groupBy("idx", "value").count()
+        .withColumn("rank", row_number().over(byIdx))
+        .withColumn("distinct", count(lit(1)).over(wholeIdx))
+        .filter(col("rank") <= MaxDictSize)
+        .select("idx", "value", "rank", "distinct")
+        .collect()
+      ranked.groupBy(_.getInt(0)).map { case (i, rows) =>
+        val distinct = rows.head.getLong(3)
+        if (distinct > MaxDictSize)
+          throw new IllegalArgumentException(
+            s"string column ${fields(i).name} has $distinct distinct values; " +
+              s"dictionary encoding supports at most $MaxDictSize")
+        i -> rows.sortBy(_.getInt(2)).map(_.getString(1))
       }
     }
   }

@@ -52,7 +52,7 @@ object Runner {
         // Bit selection is a statistics problem: 5k rows suffice and keep the
         // greedy search cheap on wide schemas.
         val compressed = GreedyGD.run(pre.df, sampleRows = math.min(nS, 5000), seed = seed)
-        pre.specs.indices.map(i => i -> GreedyGD.baseValues(compressed, pre.specs(i).name)).toMap
+        GreedyGD.seeds(compressed, pre.specs)
       }
 
     val t0 = System.nanoTime()

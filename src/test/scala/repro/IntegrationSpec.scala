@@ -22,7 +22,7 @@ class IntegrationSpec extends SparkSpec {
     val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
     assert(compressed.ratio > 0.5) // compression may or may not win, but must be sane
 
-    val seeds = pre.specs.indices.map(i => i -> GreedyGD.baseValues(compressed, pre.specs(i).name)).toMap
+    val seeds = GreedyGD.seeds(compressed, pre.specs)
     val ph = Builder.buildFromDf(pre.df, pre.specs, n, nS = 8000, m = 80, alpha = 0.001, initialEdges = seeds)
 
     // Codec round-trip, then query through the DECODED synopsis: storage is

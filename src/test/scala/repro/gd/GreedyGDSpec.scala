@@ -1,5 +1,6 @@
 package repro.gd
 
+import org.apache.spark.SparkJobCounter
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.SparkSpec
@@ -75,5 +76,52 @@ class GreedyGDSpec extends SparkSpec {
     val c = GreedyGD.run(gdDf, sampleRows = 5000)
     assert(c.compressedBytes > 0)
     assert(c.originalBytes >= c.compressedBytes) // ratio > 1 on this data
+  }
+
+  test("baseValues equal the sorted distinct non-null bases of every column") {
+    val c = GreedyGD.run(gdDf, sampleRows = 5000)
+    for (name <- gdDf.columns) {
+      val direct = c.bases.select(name).distinct().collect()
+        .map(_.getLong(0)).filter(_ > 0L).map(v => (v - 1L).toDouble).sorted
+      assert(GreedyGD.baseValues(c, name).toSeq == direct.toSeq, name)
+    }
+  }
+
+  /** Every bit in the base, so the base table is the distinct rows: column
+    * x has 1000 distinct bases, y has 10.
+    */
+  private lazy val allBase = {
+    val df = spark.range(1000).select(((col("id") * 7) % 1000).as("x"), (col("id") % 10).as("y"))
+    GreedyGD.compress(df, GreedyGD.Config(Array(0, 0), Array(10, 4)), 1000L)
+  }
+
+  test("a cap below the distinct count keeps exactly cap values, evenly spaced in rank") {
+    val full = GreedyGD.baseValues(allBase, "x")
+    assert(full.toSeq == (0 until 1000).map(_.toDouble))
+    val cap = 64
+    val capped = GreedyGD.baseValues(allBase, "x", cap)
+    assert(capped.length == cap)
+    val n = full.length
+    val expected = (0 until n).filter(r => r == 0 || r * cap / n > (r - 1) * cap / n).map(full)
+    assert(capped.toSeq == expected)
+    // under the cap a column is untouched
+    assert(GreedyGD.baseValues(allBase, "y", cap).toSeq == (0 until 10).map(_.toDouble))
+  }
+
+  test("capped seeds repeat across calls and partitionings") {
+    val cap = 37
+    val once = GreedyGD.baseValues(allBase, "x", cap)
+    assert(GreedyGD.baseValues(allBase, "x", cap).toSeq == once.toSeq)
+    for (parts <- Seq(1, 7)) {
+      assert(GreedyGD.distinctBases(allBase.bases.repartition(parts), cap)("x").toSeq == once.toSeq, s"parts=$parts")
+    }
+  }
+
+  test("baseValues over every column of one Compressed runs one Spark job") {
+    val c = GreedyGD.run(gdDf, sampleRows = 5000)
+    val specs = gdDf.columns.map(n => ColumnSpec(n, NumericCol(1L, 0L), 0L))
+    val (seeds, jobs) = SparkJobCounter(spark)(GreedyGD.seeds(c, specs))
+    assert(seeds.keySet == specs.indices.toSet)
+    assert(jobs <= 1, s"jobs=$jobs")
   }
 }

@@ -1,6 +1,7 @@
 package repro.gd
 
-import org.apache.spark.sql.Row
+import org.apache.spark.SparkJobCounter
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
 import repro.SparkSpec
@@ -123,5 +124,57 @@ class PreprocessSpec extends SparkSpec {
       case CategoricalCol(dict) => s"cat(${dict.mkString("|")})"
     }
     assert(r1.specs.map(render).toSeq == r2.specs.map(render).toSeq)
+  }
+
+  /** Reference ranking: one string column on its own, by groupBy/orderBy. */
+  private def perColumnDict(df: DataFrame, c: String): Seq[String] =
+    df.filter(col(c).isNotNull).groupBy(col(c)).count()
+      .orderBy(desc("count"), col(c))
+      .collect().map(_.getString(0)).toSeq
+
+  private def dicts(specs: Array[ColumnSpec]): Map[String, Seq[String]] =
+    specs.collect { case ColumnSpec(n, CategoricalCol(d), _) => n -> d.toSeq }.toMap
+
+  private lazy val strings = {
+    import scala.jdk.CollectionConverters._
+    val schema = StructType(Seq(
+      StructField("u", StringType, nullable = true),
+      StructField("t", StringType, nullable = true),
+      StructField("none", StringType, nullable = true),
+      StructField("n", IntegerType, nullable = true)
+    ))
+    // u: count ties at 2 and at 1, with values whose UTF-16 and UTF-8 byte
+    // orders differ ("\uFF61" sorts after the surrogate pair of U+1F600 in
+    // UTF-16, before it in UTF-8). t: ASCII ties. none: all NULL.
+    val u = Seq("z", "é", "z", "é", "a", "b", "\uFF61", "\uD83D\uDE00", null, "b")
+    val t = Seq("q", "p", "q", "p", "r", null, "r", "s", "s", "s")
+    val rows = u.zip(t).zipWithIndex.map { case ((a, b), i) => Row(a, b, null, i) }
+    spark.createDataFrame(rows.asJava, schema)
+  }
+
+  test("fused dictionaries equal the per-column groupBy/orderBy ranking") {
+    val got = dicts(Preprocess.fit(strings))
+    for (c <- Seq("u", "t", "none")) assert(got(c) == perColumnDict(strings, c), c)
+    assert(got("u") == Seq("b", "z", "é", "a", "\uFF61", "\uD83D\uDE00"))
+    assert(got("t") == Seq("s", "p", "q", "r"))
+    assert(got("none").isEmpty)
+  }
+
+  test("a frame with no string columns gets no dictionaries") {
+    val specs = Preprocess.fit(strings.select("n"))
+    assert(specs.length == 1 && !specs(0).isCategorical)
+  }
+
+  test("a string column over MaxDictSize distinct values is rejected, not truncated") {
+    val wide = spark.range(Preprocess.MaxDictSize + 1L).select(col("id").cast(StringType).as("wide"))
+    val e = intercept[IllegalArgumentException](Preprocess.fit(wide))
+    assert(e.getMessage.contains("wide"), e.getMessage)
+    assert(e.getMessage.contains((Preprocess.MaxDictSize + 1).toString), e.getMessage)
+  }
+
+  test("fit runs two Spark jobs on a frame with three string columns") {
+    val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
+    assert(specs.count(_.isCategorical) == 3)
+    assert(jobs <= 2, s"jobs=$jobs")
   }
 }
