@@ -7,9 +7,11 @@ import repro.encoding.Codec
 import repro.gd.Preprocess
 
 /** spark-submit entrypoint demonstrating the distributed construction path:
-  * PairwiseHist built from DataFrame aggregations (per-partition partial
-  * aggregation of the value/pair sufficient statistics) with driver-side
-  * hypothesis testing.
+  * one DataFrame aggregation collects the sample's distinct rows with their
+  * multiplicities (at most Ns × (d+1) longs on the driver), then the driver
+  * runs the hypothesis-testing refinement, all column pairs in parallel.
+  * Prints the number of distinct weighted rows next to the build time, so
+  * the driver-memory cost of a given Ns can be checked.
   *
   * Usage: spark-submit --class repro.jobs.RunDistributedBuild repro.jar [dataset] [sf] [nS]
   */
@@ -31,8 +33,9 @@ object RunDistributedBuild {
     val buildMs = (System.nanoTime() - t0) / 1e6
 
     val size = Codec.sizeBytes(ph)
+    val distinctRows = sampleDf.distinct().count()
     println(f"dataset=$dataset N=$n Ns=${ph.nS} d=${ph.d}")
-    println(f"distributed build: $buildMs%.0f ms; synopsis $size%d bytes (${size / 1024.0}%.1f KB)")
+    println(f"distributed build: $buildMs%.0f ms over $distinctRows%d distinct weighted rows; synopsis $size%d bytes (${size / 1024.0}%.1f KB)")
     println(f"1-d bins per column: ${ph.hist1d.map(_.k).mkString(",")}")
     println(f"pair histograms: ${ph.hist2d.size}; total cells ${ph.hist2d.valuesIterator.map(h => h.metaI.k.toLong * h.metaJ.k).sum}")
     spark.stop()

@@ -9,9 +9,10 @@ import scala.collection.mutable.ArrayBuffer
   *
   * Values are in the GD integer domain as Doubles; missing values are NaN.
   * Splits are equal-width (the paper tested both and chose equal-width).
-  * The distributed builder ([[DistributedBuilder]]) implements the same
-  * algorithm as iterative DataFrame aggregations and must produce identical
-  * synopses on the same sample — see DistributedBuilderSpec.
+  * The distributed builder ([[DistributedBuilder]]) runs the same algorithm
+  * over the sample's distinct rows and their multiplicities, collected by
+  * one DataFrame aggregation, and must produce identical synopses on the
+  * same sample — see DistributedBuilderSpec.
   */
 object Builder {
 

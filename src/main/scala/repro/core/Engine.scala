@@ -26,8 +26,17 @@ final class Engine(ph: PairwiseHist) {
   private val centreBoundsCache: Array[(Array[Double], Array[Double])] =
     Array.tabulate(ph.d)(i => ph.hist1d(i).meta.centreBounds(ph.m, ph.alpha))
 
-  // Refined-bin -> 1-d-bin maps are likewise query-independent.
-  private val parentCache = scala.collection.mutable.HashMap.empty[(Int, Int), Array[Int]]
+  // Refined-bin -> 1-d-bin maps are likewise query-independent. Keyed by
+  // (aggregation column, predicate column): the map of the aggregation
+  // column's dimension of that pair. Built once, so the engine holds no
+  // mutable state and can be shared across threads.
+  private val parentMaps: Map[(Int, Int), Array[Int]] =
+    ph.hist2d.valuesIterator.flatMap { h =>
+      Seq(
+        (h.colI, h.colJ) -> h.parentMap(ph.hist1d(h.colI), 'i'),
+        (h.colJ, h.colI) -> h.parentMap(ph.hist1d(h.colJ), 'j')
+      )
+    }.toMap
 
   /** Per-1-d-bin probability vector with bounds. */
   private final case class ProbVec(est: Array[Double], lo: Array[Double], hi: Array[Double])
@@ -176,11 +185,7 @@ final class Engine(ph: PairwiseHist) {
 
       // Sum refined aggregation bins back onto their parent 1-d bins, then
       // divide by the 1-d bin counts (Eq 27).
-      val parent = parentCache.getOrElseUpdate(
-        (i, j),
-        if (predIsI) pairHist.parentMap(ph.hist1d(i), 'j')
-        else pairHist.parentMap(ph.hist1d(i), 'i')
-      )
+      val parent = parentMaps((i, j))
       def toProb(beta: Array[Double]): Array[Double] = {
         val nu = numerator(beta)
         val agg = new Array[Double](meta1.k)

@@ -236,6 +236,39 @@ class EngineSpec extends AnyFunSuite {
     assert(full.width / full.estimate <= sub.width / sub.estimate + 1e-9)
   }
 
+  test("one engine shared by 4 threads answers as a single-threaded one") {
+    val rngQ = new Random(229)
+    val cols = Seq("x", "y", "z")
+    def cond() = Cond(cols(rngQ.nextInt(3)), Seq(Op.Le, Op.Ge, Op.Eq)(rngQ.nextInt(3)), math.rint(rngQ.nextDouble() * 1000))
+    val queries = Vector.fill(300) {
+      val where = rngQ.nextInt(3) match {
+        case 0 => cond()
+        case 1 => And(List(cond(), cond()))
+        case _ => Or(List(cond(), cond()))
+      }
+      Query(AggFn.all(rngQ.nextInt(AggFn.all.length)), cols(rngQ.nextInt(3)), Some(where))
+    }
+    val groupBy = Query(AggFn.Avg, "x", Some(Cond("y", Op.Le, 400.0)), groupBy = Some("g"))
+    def bits(r: AqpResult) = Seq(r.estimate, r.lo, r.hi).map(java.lang.Double.doubleToLongBits)
+    def answers(e: Engine, qs: Seq[Query]) =
+      qs.map(q => q -> e.run(q).map(bits)).toMap + (groupBy -> e.runGroupBy(groupBy).map { case (g, r) => (g, bits(r)) })
+
+    val expected = answers(new Engine(ph), queries)
+    val shared = new Engine(ph)
+    val start = new java.util.concurrent.CountDownLatch(1)
+    val pool = java.util.concurrent.Executors.newFixedThreadPool(4)
+    try {
+      val futures = (0 until 4).map { t =>
+        val order = new Random(t).shuffle(queries)
+        pool.submit(new java.util.concurrent.Callable[Map[Query, Any]] {
+          def call(): Map[Query, Any] = { start.await(); answers(shared, order) }
+        })
+      }
+      start.countDown()
+      futures.foreach(f => assert(f.get == expected))
+    } finally pool.shutdownNow()
+  }
+
   // ----------------------------------------------------------------- groups ----
 
   test("GROUP BY categorical column returns one result per group") {
