@@ -223,8 +223,6 @@ object Spn {
 
   // ----------------------------------------------------------------- query ----
 
-  final case class Answer(result: AqpResult)
-
   /** Answer a query, or None when the template is unsupported (OR
     * connective, non-COUNT/SUM/AVG aggregate) or the predicate probability
     * vanishes.

@@ -1,24 +1,33 @@
 package repro.core
 
+import java.util.concurrent.{Callable, ExecutionException, Executors}
+
 import org.apache.spark.sql.DataFrame
 import repro.gd.ColumnSpec
 
 import scala.collection.mutable.ArrayBuffer
 
-/** Local PairwiseHist construction (Algorithm 1) over a collected sample.
+/** PairwiseHist construction (Algorithm 1) over a weighted sample.
   *
   * Values are in the GD integer domain as Doubles; missing values are NaN.
   * Splits are equal-width (the paper tested both and chose equal-width).
-  * The distributed builder ([[DistributedBuilder]]) runs the same algorithm
-  * over the sample's distinct rows and their multiplicities, collected by
-  * one DataFrame aggregation, and must produce identical synopses on the
-  * same sample — see DistributedBuilderSpec.
+  *
+  * Algorithm 1 reads nothing but the construction sample, and refinement
+  * only ever sums row weights: bin counts, unique counts, extrema and
+  * chi-squared sub-bin counts are all weighted reductions of the sample.
+  * So there is one implementation, [[buildWeighted]], over column-major
+  * values plus a `Long` weight per row, and two ways to load a sample into
+  * it: [[build]] gives every row of a collected sample weight 1, and
+  * [[DistributedBuilder]] collects the sample's distinct rows with their
+  * multiplicities in one DataFrame aggregation. A (vi, vj) that repeats
+  * across rows is harmless for the same reason.
   */
 object Builder {
 
-  /** Build from a column-major sample. `initialEdges` optionally seeds 1-d
-    * bin edges with GreedyGD base values (§3); they are downsampled to at
-    * most ceil(Ns/M) values (Algorithm 1 line 4).
+  /** Build from a column-major sample, each row with weight 1.
+    * `initialEdges` optionally seeds 1-d bin edges with GreedyGD base values
+    * (§3); they are downsampled to at most ceil(Ns/M) values (Algorithm 1
+    * line 4).
     *
     * @param sample   sample(c) = values of column c (NaN for null)
     * @param n        rows in the full dataset (for the sampling ratio rho)
@@ -33,27 +42,53 @@ object Builder {
       alpha: Double,
       initialEdges: Map[Int, Array[Double]] = Map.empty
   ): PairwiseHist = {
-    val d = sample.length
+    val nS = if (sample.isEmpty) 0 else sample(0).length
+    buildWeighted(sample, Array.fill(nS)(1L), specs, n, m, alpha, initialEdges)
+  }
+
+  /** Algorithm 1 over rows with weights: row r has values(c)(r) in column c
+    * and stands for wts(r) sample rows. Ns is the sum of the weights. The
+    * d(d−1)/2 pairs are refined in parallel on a fixed pool sized to the
+    * machine's cores.
+    */
+  def buildWeighted(
+      values: Array[Array[Double]],
+      wts: Array[Long],
+      specs: Array[ColumnSpec],
+      n: Long,
+      m: Long,
+      alpha: Double,
+      initialEdges: Map[Int, Array[Double]]
+  ): PairwiseHist = {
+    val d = values.length
     require(specs.length == d, s"specs=${specs.length} columns=$d")
-    val nS = if (d == 0) 0L else sample(0).length.toLong
-    val nullCounts = sample.map(_.count(_.isNaN).toLong)
+    require(values.forall(_.length == wts.length),
+      s"every column needs one value per row: ${wts.length} rows, column lengths ${values.map(_.length).mkString(",")}")
+    val nS = wts.sum
+    val nullCounts = values.map { xs =>
+      var s = 0L
+      var q = 0
+      while (q < xs.length) { if (xs(q).isNaN) s += wts(q); q += 1 }
+      s
+    }
 
-    val hist1d = Array.tabulate(d)(i => Hist1D(i, build1D(sample(i), m, alpha, initialEdges.get(i), nS)))
+    val hist1d = Array.tabulate(d) { i =>
+      val (vals, w) = distinctWeighted(values(i), wts)
+      Hist1D(i, build1D(vals, w, initialEdges.get(i), nS, m, alpha))
+    }
 
-    val hist2d = (for {
-      i <- 1 until d
-      j <- 0 until i
-    } yield {
-      val h2 = build2D(sample(i), sample(j), hist1d(i).meta.edges, hist1d(j).meta.edges, m, alpha)
-      (i, j) -> Hist2D(
+    val pairs = for { i <- 1 until d; j <- 0 until i } yield (i, j)
+    val hist2d = inParallel(pairs) { case (i, j) =>
+      val h2 = build2D(values(i), values(j), wts, hist1d(i).meta.edges, hist1d(j).meta.edges, m, alpha)
+      Hist2D(
         i, j,
         shareDimMeta(h2.metaI, hist1d(i).meta),
         shareDimMeta(h2.metaJ, hist1d(j).meta),
         h2.counts
       )
-    }).toMap
+    }
 
-    PairwiseHist(n, nS, m, alpha, specs, hist1d, hist2d, nullCounts)
+    PairwiseHist(n, nS, m, alpha, specs, hist1d, pairs.zip(hist2d).toMap, nullCounts)
   }
 
   /** Collect a sample of a GD-domain DataFrame and build locally. */
@@ -84,58 +119,77 @@ object Builder {
 
   // ---------------------------------------------------------------- 1-d ----
 
-  /** One-dimensional histogram with recursive refinement (Alg 1 lines 3–12). */
-  def build1D(values: Array[Double], m: Long, alpha: Double, seeds: Option[Array[Double]], nS: Long): DimMeta = {
-    val xs = values.filterNot(_.isNaN).sorted
-    if (xs.isEmpty)
+  /** One-dimensional histogram with recursive refinement (Alg 1 lines 3–12)
+    * over a column's sorted distinct values and their weights. `vals` must
+    * be strictly increasing: refinement counts the distinct values of a
+    * range by its length.
+    */
+  def build1D(
+      vals: Array[Double], wts: Array[Long],
+      seeds: Option[Array[Double]], nS: Long, m: Long, alpha: Double
+  ): DimMeta = {
+    require((1 until vals.length).forall(q => vals(q - 1) < vals(q)), "vals must be strictly increasing")
+    if (vals.isEmpty)
       return DimMeta(Array(0.0, 1.0), Array(0.0), Array(1.0), Array(0L), Array(0L))
-
-    val mn = xs.head
-    val mx = xs.last
+    val mn = vals.head
+    val mx = vals.last
     if (mn == mx)
-      return DimMeta(Array(mn, mn + 1.0), Array(mn), Array(mn), Array(1L), Array(xs.length.toLong))
+      return DimMeta(Array(mn, mn + 1.0), Array(mn), Array(mn), Array(1L), Array(wts.sum))
 
     val init = initialEdgeVector(mn, mx, seeds, nS, m)
-
     val edges = ArrayBuffer(init.head)
     val vMin = ArrayBuffer.empty[Double]
     val vMax = ArrayBuffer.empty[Double]
     val uniq = ArrayBuffer.empty[Long]
-
     var t = 0
     while (t < init.length - 1) {
       val lo = init(t)
       val hi = init(t + 1)
       val last = t == init.length - 2
-      val slice = sliceSorted(xs, lo, hi, closedHi = last)
-      val (e2, v2m, v2x, u2) = refine1D(lo, hi, slice, m, alpha)
+      val a = lowerBound(vals, lo)
+      val b = if (last) upperBound(vals, hi) else lowerBound(vals, hi)
+      val (e2, v2m, v2x, u2) = refine1D(lo, hi, vals, wts, a, b, m, alpha)
       edges ++= e2; vMin ++= v2m; vMax ++= v2x; uniq ++= u2
       t += 1
     }
-
     val edgeArr = edges.toArray
-    val counts = histCounts(xs, edgeArr)
+    val counts = new Array[Long](edgeArr.length - 1)
+    var q = 0
+    while (q < vals.length) {
+      counts(binIndex(edgeArr, vals(q))) += wts(q)
+      q += 1
+    }
     DimMeta(edgeArr, vMin.toArray, vMax.toArray, uniq.toArray, counts)
   }
 
-  /** RefineBin1D (Algorithm 2): returns per-resulting-bin
-    * (upper edges, bin minima, bin maxima, unique counts).
+  /** RefineBin1D (Algorithm 2) over vals(from until until): returns
+    * per-resulting-bin (upper edges, bin minima, bin maxima, unique counts).
     */
-  def refine1D(
-      eL: Double, eR: Double, xs: Array[Double], m: Long, alpha: Double
+  private def refine1D(
+      eL: Double, eR: Double,
+      vals: Array[Double], wts: Array[Long], from: Int, until: Int,
+      m: Long, alpha: Double
   ): (Seq[Double], Seq[Double], Seq[Double], Seq[Long]) = {
-    if (xs.isEmpty) return (Seq(eR), Seq(eL), Seq(eR), Seq(0L))
-    val u = countDistinctSorted(xs)
-    if (u == 1) return (Seq(eR), Seq(xs.head), Seq(xs.head), Seq(1L))
+    val u = (until - from).toLong // distinct values in range (vals are distinct)
+    if (u == 0) return (Seq(eR), Seq(eL), Seq(eR), Seq(0L))
+    if (u == 1) return (Seq(eR), Seq(vals(from)), Seq(vals(from)), Seq(1L))
+    var h = 0L
+    var q = from
+    while (q < until) { h += wts(q); q += 1 }
     val splittable = eR - eL > Theorems.Mu
-    if (xs.length < m || !splittable || HypothesisTest.isUniform(xs, eL, eR, u, alpha))
-      return (Seq(eR), Seq(xs.head), Seq(xs.last), Seq(u))
+    if (h < m || !splittable ||
+        HypothesisTest.nonUniformity(vals, wts, from, until, eL, eR, u, alpha) <= 1.0)
+      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
     val z = (eL + eR) / 2 // equal-width split
-    if (z <= eL || z >= eR) return (Seq(eR), Seq(xs.head), Seq(xs.last), Seq(u))
-    val cut = lowerBound(xs, z)
-    val (l, r) = xs.splitAt(cut)
-    val (eA, vA, xA, uA) = refine1D(eL, z, l, m, alpha)
-    val (eB, vB, xB, uB) = refine1D(z, eR, r, m, alpha)
+    if (z <= eL || z >= eR)
+      return (Seq(eR), Seq(vals(from)), Seq(vals(until - 1)), Seq(u))
+    val cut = lowerBound(vals, z) match {
+      case c if c < from  => from
+      case c if c > until => until
+      case c              => c
+    }
+    val (eA, vA, xA, uA) = refine1D(eL, z, vals, wts, from, cut, m, alpha)
+    val (eB, vB, xB, uB) = refine1D(z, eR, vals, wts, cut, until, m, alpha)
     (eA ++ eB, vA ++ vB, xA ++ xB, uA ++ uB)
   }
 
@@ -167,140 +221,143 @@ object Builder {
 
   // ---------------------------------------------------------------- 2-d ----
 
-  /** Two-dimensional histogram (Alg 1 lines 13–26): initial edges from the
-    * 1-d histograms, RefineBin2D per initial cell with at least M points,
-    * then a full recount + marginal metadata on the union of edges.
+  /** Two-dimensional histogram (Alg 1 lines 13–26) over the (vi, vj, weight)
+    * columns of a pair: initial edges from the 1-d histograms, RefineBin2D
+    * per initial cell with at least M weight, then a full recount + marginal
+    * metadata on the union of edges. Rows with a null (NaN) in either column
+    * are left out (§3, missing-value support; SQL predicates on null fail).
+    * Each initial cell is a contiguous run of the cell-sorted rows that the
+    * recursion partitions in place.
     */
   def build2D(
-      xi: Array[Double], xj: Array[Double],
+      xi: Array[Double], xj: Array[Double], wts: Array[Long],
       edgesI0: Array[Double], edgesJ0: Array[Double],
       m: Long, alpha: Double
   ): Hist2D = {
-    // Rows with a null in either column are excluded from this pair (§3,
-    // missing-value support; SQL predicates on null fail).
-    val pairs = ArrayBuffer.empty[(Double, Double)]
+    // Sort the non-null rows by initial cell: key = cell << 32 | row.
+    val kJ0 = (edgesJ0.length - 1).toLong
+    val keys = new Array[Long](xi.length)
+    var n = 0
     var r = 0
     while (r < xi.length) {
-      if (!xi(r).isNaN && !xj(r).isNaN) pairs += ((xi(r), xj(r)))
+      if (!xi(r).isNaN && !xj(r).isNaN) {
+        val cell = binIndex(edgesI0, xi(r)) * kJ0 + binIndex(edgesJ0, xj(r))
+        keys(n) = (cell << 32) | r
+        n += 1
+      }
       r += 1
     }
-    val pi = pairs.map(_._1).toArray
-    val pj = pairs.map(_._2).toArray
+    val order = java.util.Arrays.copyOf(keys, n)
+    java.util.Arrays.sort(order)
+    val pi = new Array[Double](n)
+    val pj = new Array[Double](n)
+    val pw = new Array[Long](n)
+    var q = 0
+    while (q < n) {
+      val row = order(q).toInt
+      pi(q) = xi(row); pj(q) = xj(row); pw(q) = wts(row)
+      q += 1
+    }
 
     val newI = ArrayBuffer.empty[Double]
     val newJ = ArrayBuffer.empty[Double]
-
-    // Iterate over initial cells; refine each independently (Alg 1 line 17).
-    val cellPoints = groupByCell(pi, pj, edgesI0, edgesJ0)
-    cellPoints.foreach { case ((ti, tj), idxs) =>
-      if (idxs.length >= m) {
-        val (ei, ej) = refine2D(
-          edgesI0(ti), edgesI0(ti + 1), edgesJ0(tj), edgesJ0(tj + 1),
-          idxs.map(pi(_)), idxs.map(pj(_)), m, alpha
-        )
-        newI ++= ei
-        newJ ++= ej
-      }
+    var from = 0
+    while (from < order.length) {
+      val cell = order(from) >>> 32
+      var until = from + 1
+      while (until < order.length && (order(until) >>> 32) == cell) until += 1
+      val ti = (cell / kJ0).toInt
+      val tj = (cell % kJ0).toInt
+      refine2D(edgesI0(ti), edgesI0(ti + 1), edgesJ0(tj), edgesJ0(tj + 1),
+        pi, pj, pw, from, until, m, alpha, newI, newJ)
+      from = until
     }
 
-    val edgesI = (edgesI0 ++ newI).distinct.sorted
-    val edgesJ = (edgesJ0 ++ newJ).distinct.sorted
-
-    finalize2D(pi, pj, edgesI, edgesJ)
+    finalize2D(pi, pj, pw, sortedDistinct(edgesI0 ++ newI), sortedDistinct(edgesJ0 ++ newJ))
   }
 
-  /** RefineBin2D: test uniformity in each dimension; split the least uniform
-    * dimension at its midpoint; recurse. Returns new edges per dimension.
+  /** RefineBin2D over rows `from until until`: test uniformity in each
+    * dimension, split the least uniform one at its midpoint, recurse.
+    * Appends the split points it adds to `newI`/`newJ` and partitions the
+    * rows in place.
     */
-  def refine2D(
+  private def refine2D(
       loI: Double, hiI: Double, loJ: Double, hiJ: Double,
-      xi: Array[Double], xj: Array[Double], m: Long, alpha: Double
-  ): (Seq[Double], Seq[Double]) = {
-    if (xi.length < m) return (Nil, Nil)
+      xi: Array[Double], xj: Array[Double], w: Array[Long], from: Int, until: Int,
+      m: Long, alpha: Double,
+      newI: ArrayBuffer[Double], newJ: ArrayBuffer[Double]
+  ): Unit = {
+    var h = 0L
+    var q = from
+    while (q < until) { h += w(q); q += 1 }
+    if (h < m) return
 
-    def dimScore(xs: Array[Double], lo: Double, hi: Double): Double = {
-      if (hi - lo <= Theorems.Mu) return 0.0 // cannot split further
-      val u = countDistinct(xs)
-      val s = HypothesisTest.subBins(u)
-      if (s < 2) 0.0
-      else {
-        val chi2 = HypothesisTest.statistic(HypothesisTest.subBinCounts(xs, lo, hi, s))
-        chi2 / HypothesisTest.criticalValue(alpha, s - 1) // > 1 means reject
-      }
-    }
+    def dimScore(xs: Array[Double], lo: Double, hi: Double): Double =
+      if (hi - lo <= Theorems.Mu) 0.0 // cannot split further
+      else HypothesisTest.nonUniformity(xs, w, from, until, lo, hi, countDistinct(xs, from, until), alpha)
 
     val scoreI = dimScore(xi, loI, hiI)
     val scoreJ = dimScore(xj, loJ, hiJ)
-    if (scoreI <= 1.0 && scoreJ <= 1.0) return (Nil, Nil)
+    if (scoreI <= 1.0 && scoreJ <= 1.0) return
 
-    val splitI = scoreI >= scoreJ
-    if (splitI) {
+    if (scoreI >= scoreJ) {
       val z = (loI + hiI) / 2
-      if (z <= loI || z >= hiI) return (Nil, Nil)
-      val leftIdx = xi.indices.filter(xi(_) < z)
-      val rightIdx = xi.indices.filter(xi(_) >= z)
-      val (aI, aJ) = refine2D(loI, z, loJ, hiJ, leftIdx.map(xi(_)).toArray, leftIdx.map(xj(_)).toArray, m, alpha)
-      val (bI, bJ) = refine2D(z, hiI, loJ, hiJ, rightIdx.map(xi(_)).toArray, rightIdx.map(xj(_)).toArray, m, alpha)
-      (z +: (aI ++ bI), aJ ++ bJ)
+      if (z <= loI || z >= hiI) return
+      newI += z
+      val cut = partition(xi, xj, w, from, until, z)
+      refine2D(loI, z, loJ, hiJ, xi, xj, w, from, cut, m, alpha, newI, newJ)
+      refine2D(z, hiI, loJ, hiJ, xi, xj, w, cut, until, m, alpha, newI, newJ)
     } else {
       val z = (loJ + hiJ) / 2
-      if (z <= loJ || z >= hiJ) return (Nil, Nil)
-      val leftIdx = xj.indices.filter(xj(_) < z)
-      val rightIdx = xj.indices.filter(xj(_) >= z)
-      val (aI, aJ) = refine2D(loI, hiI, loJ, z, leftIdx.map(xi(_)).toArray, leftIdx.map(xj(_)).toArray, m, alpha)
-      val (bI, bJ) = refine2D(loI, hiI, z, hiJ, rightIdx.map(xi(_)).toArray, rightIdx.map(xj(_)).toArray, m, alpha)
-      (aI ++ bI, z +: (aJ ++ bJ))
+      if (z <= loJ || z >= hiJ) return
+      newJ += z
+      val cut = partition(xj, xi, w, from, until, z)
+      refine2D(loI, hiI, loJ, z, xi, xj, w, from, cut, m, alpha, newI, newJ)
+      refine2D(loI, hiI, z, hiJ, xi, xj, w, cut, until, m, alpha, newI, newJ)
     }
   }
 
   /** Final recount + per-dimension marginal metadata on the union edges
     * (Alg 1 lines 22–26).
     */
-  def finalize2D(pi: Array[Double], pj: Array[Double], edgesI: Array[Double], edgesJ: Array[Double]): Hist2D = {
-    val kI = edgesI.length - 1
-    val kJ = edgesJ.length - 1
-    val counts = Array.fill(kI)(new Array[Long](kJ))
-    val metaI = MarginAcc(kI)
-    val metaJ = MarginAcc(kJ)
+  private def finalize2D(
+      pi: Array[Double], pj: Array[Double], pw: Array[Long],
+      edgesI: Array[Double], edgesJ: Array[Double]
+  ): Hist2D = {
+    val counts = Array.fill(edgesI.length - 1)(new Array[Long](edgesJ.length - 1))
     var r = 0
     while (r < pi.length) {
-      val ti = binIndex(edgesI, pi(r))
-      val tj = binIndex(edgesJ, pj(r))
-      counts(ti)(tj) += 1
-      metaI.add(ti, pi(r))
-      metaJ.add(tj, pj(r))
+      counts(binIndex(edgesI, pi(r)))(binIndex(edgesJ, pj(r))) += pw(r)
       r += 1
     }
-    Hist2D(0, 0, metaI.toDimMeta(edgesI), metaJ.toDimMeta(edgesJ), counts)
+    val cntI = counts.map(_.sum)
+    val cntJ = new Array[Long](edgesJ.length - 1)
+    counts.foreach(row => (0 until row.length).foreach(tj => cntJ(tj) += row(tj)))
+    Hist2D(0, 0, marginMeta(pi, edgesI, cntI), marginMeta(pj, edgesJ, cntJ), counts)
   }
 
-  /** Accumulates marginal min/max/count/distinct per bin along a dimension. */
-  private final case class MarginAcc(k: Int) {
-    val vMin: Array[Double] = Array.fill(k)(Double.NaN)
-    val vMax: Array[Double] = Array.fill(k)(Double.NaN)
-    val cnt: Array[Long] = new Array[Long](k)
-    val sets: Array[java.util.HashSet[java.lang.Double]] =
-      Array.fill(k)(new java.util.HashSet[java.lang.Double]())
-
-    def add(t: Int, v: Double): Unit = {
-      cnt(t) += 1
-      if (vMin(t).isNaN || v < vMin(t)) vMin(t) = v
-      if (vMax(t).isNaN || v > vMax(t)) vMax(t) = v
-      sets(t).add(v)
+  /** Per-bin min/max/distinct of `xs` along one dimension; empty bins take
+    * their edges as extrema.
+    */
+  private def marginMeta(xs: Array[Double], edges: Array[Double], cnt: Array[Long]): DimMeta = {
+    val k = cnt.length
+    val vMin = Array.tabulate(k)(t => edges(t))
+    val vMax = Array.tabulate(k)(t => edges(t + 1))
+    val uniq = new Array[Long](k)
+    sortedDistinct(xs).foreach { v =>
+      val t = binIndex(edges, v)
+      if (uniq(t) == 0) vMin(t) = v
+      vMax(t) = v
+      uniq(t) += 1
     }
-
-    def toDimMeta(edges: Array[Double]): DimMeta = {
-      val mn = Array.tabulate(k)(t => if (vMin(t).isNaN) edges(t) else vMin(t))
-      val mx = Array.tabulate(k)(t => if (vMax(t).isNaN) edges(t + 1) else vMax(t))
-      DimMeta(edges, mn, mx, sets.map(_.size.toLong), cnt.clone())
-    }
+    DimMeta(edges, vMin, vMax, uniq, cnt)
   }
 
   /** Eq 12's storage model: a pair-dimension bin whose edges coincide with
     * a 1-d bin SHARES that bin's metadata (only additional refined bins
     * carry their own). Applying the sharing at build time keeps the codec a
-    * lossless round-trip and both builders identical. Marginal counts stay
-    * exact (they are rederivable from the count matrix).
+    * lossless round-trip. Marginal counts stay exact (they are rederivable
+    * from the count matrix).
     */
   def shareDimMeta(pairMeta: DimMeta, oneD: DimMeta): DimMeta = {
     val parentBins = (0 until oneD.k).map(t => (oneD.edges(t), oneD.edges(t + 1)) -> t).toMap
@@ -334,24 +391,6 @@ object Builder {
     lo
   }
 
-  /** Standard Hist over sorted values given edges. */
-  def histCounts(xsSorted: Array[Double], edges: Array[Double]): Array[Long] = {
-    val k = edges.length - 1
-    val counts = new Array[Long](k)
-    var i = 0
-    while (i < xsSorted.length) {
-      counts(binIndex(edges, xsSorted(i))) += 1
-      i += 1
-    }
-    counts
-  }
-
-  private def sliceSorted(xs: Array[Double], lo: Double, hi: Double, closedHi: Boolean): Array[Double] = {
-    val a = lowerBound(xs, lo)
-    val b = if (closedHi) upperBound(xs, hi) else lowerBound(xs, hi)
-    xs.slice(a, b)
-  }
-
   /** First index with xs(idx) >= v. */
   def lowerBound(xs: Array[Double], v: Double): Int = {
     var lo = 0; var hi = xs.length
@@ -372,35 +411,75 @@ object Builder {
     lo
   }
 
-  def countDistinctSorted(xsSorted: Array[Double]): Long = {
-    if (xsSorted.isEmpty) 0L
-    else {
-      var u = 1L
-      var i = 1
-      while (i < xsSorted.length) {
-        if (xsSorted(i) != xsSorted(i - 1)) u += 1
-        i += 1
+  /** Moves the rows of xs(from until until) below `z` to the front, carrying
+    * `other` and `w` along; returns the first index of the rest.
+    */
+  private def partition(
+      xs: Array[Double], other: Array[Double], w: Array[Long], from: Int, until: Int, z: Double
+  ): Int = {
+    var lo = from
+    var hi = until - 1
+    while (lo <= hi) {
+      if (xs(lo) < z) lo += 1
+      else {
+        val x = xs(lo); xs(lo) = xs(hi); xs(hi) = x
+        val o = other(lo); other(lo) = other(hi); other(hi) = o
+        val c = w(lo); w(lo) = w(hi); w(hi) = c
+        hi -= 1
       }
-      u
     }
+    lo
   }
 
-  def countDistinct(xs: Array[Double]): Long = {
-    val set = new java.util.HashSet[java.lang.Double]()
-    xs.foreach(set.add(_))
-    set.size.toLong
+  /** Distinct values of xs(from until until), counted by sorting a copy. */
+  private def countDistinct(xs: Array[Double], from: Int, until: Int): Long = {
+    val s = java.util.Arrays.copyOfRange(xs, from, until)
+    java.util.Arrays.sort(s)
+    var u = if (s.isEmpty) 0L else 1L
+    var q = 1
+    while (q < s.length) {
+      if (java.lang.Double.compare(s(q), s(q - 1)) != 0) u += 1
+      q += 1
+    }
+    u
   }
 
-  private def groupByCell(
-      pi: Array[Double], pj: Array[Double], edgesI: Array[Double], edgesJ: Array[Double]
-  ): Map[(Int, Int), Array[Int]] = {
-    val byCell = scala.collection.mutable.Map.empty[(Int, Int), ArrayBuffer[Int]]
-    var r = 0
-    while (r < pi.length) {
-      val key = (binIndex(edgesI, pi(r)), binIndex(edgesJ, pj(r)))
-      byCell.getOrElseUpdate(key, ArrayBuffer.empty) += r
-      r += 1
+  /** `xs.distinct.sorted` on primitives: a sorted copy without repeats. */
+  private def sortedDistinct(xs: Array[Double]): Array[Double] = {
+    val s = xs.clone()
+    java.util.Arrays.sort(s)
+    var u = 0
+    var q = 0
+    while (q < s.length) {
+      if (u == 0 || java.lang.Double.compare(s(q), s(u - 1)) != 0) { s(u) = s(q); u += 1 }
+      q += 1
     }
-    byCell.map { case (k, v) => k -> v.toArray }.toMap
+    java.util.Arrays.copyOf(s, u)
   }
+
+  /** Sorted distinct non-null values of `xs` with their summed weights. */
+  private def distinctWeighted(xs: Array[Double], wts: Array[Long]): (Array[Double], Array[Long]) = {
+    val vals = sortedDistinct(xs.filterNot(_.isNaN))
+    val w = new Array[Long](vals.length)
+    var q = 0
+    while (q < xs.length) {
+      if (!xs(q).isNaN) w(java.util.Arrays.binarySearch(vals, xs(q))) += wts(q)
+      q += 1
+    }
+    (vals, w)
+  }
+
+  /** Runs `f` over `xs` on a fixed pool of the machine's cores; results keep
+    * the order of `xs`.
+    */
+  private def inParallel[A, B](xs: IndexedSeq[A])(f: A => B): IndexedSeq[B] =
+    if (xs.isEmpty) IndexedSeq.empty
+    else {
+      val pool = Executors.newFixedThreadPool(math.min(xs.length, Runtime.getRuntime.availableProcessors))
+      try {
+        val futures = xs.map(x => pool.submit(new Callable[B] { def call(): B = f(x) }))
+        try futures.map(_.get)
+        catch { case e: ExecutionException => throw e.getCause }
+      } finally { pool.shutdownNow(); () }
+    }
 }

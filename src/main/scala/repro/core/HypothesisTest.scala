@@ -49,41 +49,37 @@ object HypothesisTest {
     chi2
   }
 
-  /** Assign each value in [lo, hi) to one of `s` equal-width sub-bins and
-    * count. Values equal to `hi` (the closed upper edge of the last bin of a
+  /** Weighted equal-width sub-bin counts of xs(from until until) over
+    * [lo, hi]: row q adds w(q) to its sub-bin. Sub-bins are half-open;
+    * values equal to `hi` (the closed upper edge of the last bin of a
     * histogram) land in the final sub-bin.
     */
-  def subBinCounts(values: Array[Double], lo: Double, hi: Double, s: Int): Array[Long] = {
+  def subBinCounts(
+      xs: Array[Double], w: Array[Long], from: Int, until: Int, lo: Double, hi: Double, s: Int
+  ): Array[Long] = {
     val counts = new Array[Long](s)
     val width = hi - lo
-    var i = 0
-    while (i < values.length) {
-      val r0 = if (width <= 0) 0 else ((values(i) - lo) / width * s).toInt
-      val r = math.min(s - 1, math.max(0, r0))
-      counts(r) += 1
-      i += 1
+    var q = from
+    while (q < until) {
+      val r0 = if (width <= 0) 0 else ((xs(q) - lo) / width * s).toInt
+      counts(math.min(s - 1, math.max(0, r0))) += w(q)
+      q += 1
     }
     counts
   }
 
-  /** The paper's IsUniform: true iff the sub-bin counts are consistent with
-    * a uniform distribution at significance `alpha`. Bins that cannot be
-    * subdivided (s < 2) are trivially uniform.
+  /** The paper's IsUniform as a ratio: the chi-squared statistic of the
+    * weighted rows xs(from until until) over [lo, hi], which hold `u`
+    * distinct values, divided by its critical value at `alpha`. Above 1
+    * rejects uniformity; `<= 1.0` is exactly `statistic <= criticalValue`
+    * since the critical value is positive. Bins that cannot be subdivided
+    * (s < 2) and empty ranges score 0, i.e. uniform.
     */
-  def isUniform(values: Array[Double], lo: Double, hi: Double, u: Long, alpha: Double): Boolean = {
+  def nonUniformity(
+      xs: Array[Double], w: Array[Long], from: Int, until: Int, lo: Double, hi: Double, u: Long, alpha: Double
+  ): Double = {
     val s = subBins(u)
-    if (s < 2 || values.isEmpty) true
-    else {
-      val chi2 = statistic(subBinCounts(values, lo, hi, s))
-      chi2 <= criticalValue(alpha, s - 1)
-    }
-  }
-
-  /** IsUniform on pre-aggregated sub-bin counts (the distributed builder
-    * computes counts via DataFrame aggregation and tests on the driver).
-    */
-  def isUniformCounts(counts: Array[Long], alpha: Double): Boolean = {
-    if (counts.length < 2 || counts.sum == 0) true
-    else statistic(counts) <= criticalValue(alpha, counts.length - 1)
+    if (s < 2 || until <= from) 0.0
+    else statistic(subBinCounts(xs, w, from, until, lo, hi, s)) / criticalValue(alpha, s - 1)
   }
 }

@@ -71,6 +71,4 @@ final class BitReader(data: Array[Byte]) {
     while (readBit()) q += 1
     q
   }
-
-  def bitPosition: Long = pos
 }

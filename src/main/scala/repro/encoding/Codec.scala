@@ -140,10 +140,11 @@ object Codec {
   /** Dimension metadata: edges as doubles (refinement midpoints are dyadic
     * fractions), then per bin the unique count and — only for non-empty
     * bins — vMin/vMax as varlongs (actual GD integers). Empty bins fall
-    * back to their edges, matching the builders' convention, so nothing is
-    * stored for them.
+    * back to their edges, matching the builder's convention, so nothing is
+    * stored for them. Counts are not written here: 1-d counts follow as
+    * their own vector and pair marginals are re-derived from the matrix.
     */
-  private def writeDimNoCounts(out: DataOutputStream, dm: DimMeta): Unit = {
+  private def writeDim(out: DataOutputStream, dm: DimMeta): Unit = {
     writeVarLong(out, dm.k.toLong)
     dm.edges.foreach(out.writeDouble)
     var t = 0
@@ -157,7 +158,7 @@ object Codec {
     }
   }
 
-  private def readDimNoCounts(in: DataInputStream): DimMeta = {
+  private def readDim(in: DataInputStream): DimMeta = {
     val k = readVarLong(in).toInt
     val edges = Array.fill(k + 1)(in.readDouble())
     val vMin = new Array[Double](k)
@@ -178,13 +179,9 @@ object Codec {
     DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
   }
 
-  private def writeDim(out: DataOutputStream, dm: DimMeta): Unit = writeDimNoCounts(out, dm)
-
-  private def readDim(in: DataInputStream): DimMeta = readDimNoCounts(in)
-
   /** Pair dimension (Eq 12): only refined edges beyond the 1-d histogram
-    * plus metadata of bins that do not coincide with a 1-d bin. Builders
-    * apply the same sharing ([[repro.core.Builder.shareDimMeta]]), so the
+    * plus metadata of bins that do not coincide with a 1-d bin. The builder
+    * applies the same sharing ([[repro.core.Builder.shareDimMeta]]), so the
     * reconstruction is an exact round-trip.
     */
   private def writePairDim(out: DataOutputStream, dm: DimMeta, oneD: DimMeta): Unit = {

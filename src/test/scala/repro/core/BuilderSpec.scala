@@ -12,12 +12,24 @@ class BuilderSpec extends AnyFunSuite {
   private val M = 100L
   private val Alpha = 0.001
 
+  /** A raw column as [[Builder.build1D]] takes it: sorted distinct non-null
+    * values with their multiplicities.
+    */
+  private def build1D(xs: Array[Double], m: Long, nS: Long): DimMeta = {
+    val byValue = xs.filterNot(_.isNaN).groupBy(identity).toArray.sortBy(_._1)
+    Builder.build1D(byValue.map(_._1), byValue.map(_._2.length.toLong), None, nS, m, Alpha)
+  }
+
+  /** A raw pair as weight-1 rows. */
+  private def build2D(xi: Array[Double], xj: Array[Double], ei: Array[Double], ej: Array[Double], m: Long): Hist2D =
+    Builder.build2D(xi, xj, Array.fill(xi.length)(1L), ei, ej, m, Alpha)
+
   // ----------------------------------------------------------------- 1-d ----
 
   test("uniform column is not refined beyond the initial grid") {
     val rng = new Random(41)
     val xs = Array.fill(10000)(math.rint(rng.nextDouble() * 10000))
-    val dm = Builder.build1D(xs, M, Alpha, None, xs.length.toLong)
+    val dm = build1D(xs, M, xs.length.toLong)
     // Initial grid is ceil(Ns/M) = 100 bins; uniform data should add few.
     val cap = math.ceil(xs.length.toDouble / M).toInt
     assert(dm.k <= cap + 10, s"k=${dm.k} cap=$cap")
@@ -29,7 +41,7 @@ class BuilderSpec extends AnyFunSuite {
     val xs = Array.fill(10000)(
       if (rng.nextBoolean()) math.rint(rng.nextDouble() * 100) else math.rint(9900 + rng.nextDouble() * 100)
     )
-    val dm = Builder.build1D(xs, M, Alpha, None, xs.length.toLong)
+    val dm = build1D(xs, M, xs.length.toLong)
     assert(dm.k >= 2)
     // The central empty region should be isolated: some bin has zero count.
     assert(dm.counts.contains(0L) || dm.k >= 3)
@@ -39,7 +51,7 @@ class BuilderSpec extends AnyFunSuite {
   test("bin metadata is exact: min/max/unique per bin") {
     val rng = new Random(47)
     val xs = Array.fill(5000)(math.rint(math.pow(rng.nextDouble(), 2) * 1000))
-    val dm = Builder.build1D(xs, M, Alpha, None, xs.length.toLong)
+    val dm = build1D(xs, M, xs.length.toLong)
     val sorted = xs.sorted
     for (t <- 0 until dm.k) {
       val inBin = sorted.filter(v => Builder.binIndex(dm.edges, v) == t)
@@ -57,27 +69,27 @@ class BuilderSpec extends AnyFunSuite {
   test("edges are strictly increasing and cover the data") {
     val rng = new Random(53)
     val xs = Array.fill(3000)(math.rint(rng.nextGaussian() * 200 + 500))
-    val dm = Builder.build1D(xs, M, Alpha, None, xs.length.toLong)
+    val dm = build1D(xs, M, xs.length.toLong)
     assert(dm.edges.sliding(2).forall(p => p(0) < p(1)))
     assert(dm.edges.head == xs.min)
     assert(dm.edges.last == xs.max)
   }
 
   test("empty column yields the degenerate histogram") {
-    val dm = Builder.build1D(Array.fill(10)(Double.NaN), M, Alpha, None, 10)
+    val dm = build1D(Array.fill(10)(Double.NaN), M, 10)
     assert(dm.k == 1)
     assert(dm.counts(0) == 0)
   }
 
   test("constant column yields a single exact bin") {
-    val dm = Builder.build1D(Array.fill(500)(42.0), M, Alpha, None, 500)
+    val dm = build1D(Array.fill(500)(42.0), M, 500)
     assert(dm.k == 1)
     assert(dm.vMin(0) == 42.0 && dm.vMax(0) == 42.0 && dm.unique(0) == 1 && dm.counts(0) == 500)
   }
 
   test("two-value column keeps exact extrema") {
     val xs = Array.fill(400)(0.0) ++ Array.fill(100)(50.0)
-    val dm = Builder.build1D(xs, M, Alpha, None, 500)
+    val dm = build1D(xs, M, 500)
     assert(dm.counts.sum == 500)
     val t0 = Builder.binIndex(dm.edges, 0.0)
     assert(dm.vMin(t0) == 0.0)
@@ -88,15 +100,15 @@ class BuilderSpec extends AnyFunSuite {
   test("nulls (NaN) are excluded from 1-d histograms") {
     val rng = new Random(59)
     val xs = Array.tabulate(2000)(i => if (i % 4 == 0) Double.NaN else math.rint(rng.nextDouble() * 100))
-    val dm = Builder.build1D(xs, M, Alpha, None, 2000)
+    val dm = build1D(xs, M, 2000)
     assert(dm.counts.sum == xs.count(!_.isNaN))
   }
 
   test("smaller M yields at least as many bins") {
     val rng = new Random(61)
     val xs = Array.fill(8000)(math.rint(math.pow(rng.nextDouble(), 3) * 5000))
-    val coarse = Builder.build1D(xs, 800, Alpha, None, xs.length.toLong)
-    val fine = Builder.build1D(xs, 80, Alpha, None, xs.length.toLong)
+    val coarse = build1D(xs, 800, xs.length.toLong)
+    val fine = build1D(xs, 80, xs.length.toLong)
     assert(fine.k >= coarse.k)
   }
 
@@ -122,7 +134,7 @@ class BuilderSpec extends AnyFunSuite {
     val rng = new Random(67)
     // Exponential-ish: dense near 0.
     val xs = Array.fill(20000)(math.rint(-math.log(rng.nextDouble() + 1e-12) * 100))
-    val dm = Builder.build1D(xs, 200, Alpha, None, xs.length.toLong)
+    val dm = build1D(xs, 200, xs.length.toLong)
     assert(dm.k > 3, s"k=${dm.k}")
     // First-half bins should be narrower than last bin.
     val widths = (0 until dm.k).map(t => dm.edges(t + 1) - dm.edges(t))
@@ -155,9 +167,9 @@ class BuilderSpec extends AnyFunSuite {
     val n = 8000
     val xi = Array.fill(n)(math.rint(rng.nextDouble() * 1000))
     val xj = Array.tabulate(n)(r => math.rint(xi(r) * 0.5 + rng.nextDouble() * 50))
-    val e1i = Builder.build1D(xi, M, Alpha, None, n).edges
-    val e1j = Builder.build1D(xj, M, Alpha, None, n).edges
-    val h2 = Builder.build2D(xi, xj, e1i, e1j, M, Alpha)
+    val e1i = build1D(xi, M, n).edges
+    val e1j = build1D(xj, M, n).edges
+    val h2 = build2D(xi, xj, e1i, e1j, M)
     val total = h2.counts.map(_.sum).sum
     assert(total == n)
     assert(h2.metaI.counts.sum == n)
@@ -171,9 +183,9 @@ class BuilderSpec extends AnyFunSuite {
     val n = 20000
     val xi = Array.fill(n)(math.rint(rng.nextDouble() * 1000))
     val xj = Array.tabulate(n)(r => math.rint(xi(r) + rng.nextDouble() * 10)) // strongly dependent
-    val e1i = Builder.build1D(xi, 500, Alpha, None, n).edges
-    val e1j = Builder.build1D(xj, 500, Alpha, None, n).edges
-    val h2 = Builder.build2D(xi, xj, e1i, e1j, 500, Alpha)
+    val e1i = build1D(xi, 500, n).edges
+    val e1j = build1D(xj, 500, n).edges
+    val h2 = build2D(xi, xj, e1i, e1j, 500)
     assert(h2.metaI.k + h2.metaJ.k >= (e1i.length - 1) + (e1j.length - 1))
   }
 
@@ -182,9 +194,9 @@ class BuilderSpec extends AnyFunSuite {
     val n = 10000
     val xi = Array.fill(n)(math.rint(rng.nextDouble() * 300))
     val xj = Array.fill(n)(math.rint(math.pow(rng.nextDouble(), 2) * 300))
-    val mi = Builder.build1D(xi, 200, Alpha, None, n)
-    val mj = Builder.build1D(xj, 200, Alpha, None, n)
-    val h2 = Builder.build2D(xi, xj, mi.edges, mj.edges, 200, Alpha)
+    val mi = build1D(xi, 200, n)
+    val mj = build1D(xj, 200, n)
+    val h2 = build2D(xi, xj, mi.edges, mj.edges, 200)
     assert(mi.edges.toSet.subsetOf(h2.metaI.edges.toSet))
     assert(mj.edges.toSet.subsetOf(h2.metaJ.edges.toSet))
   }
@@ -194,9 +206,9 @@ class BuilderSpec extends AnyFunSuite {
     val n = 4000
     val xi = Array.tabulate(n)(r => if (r % 5 == 0) Double.NaN else math.rint(rng.nextDouble() * 100))
     val xj = Array.tabulate(n)(r => if (r % 7 == 0) Double.NaN else math.rint(rng.nextDouble() * 100))
-    val mi = Builder.build1D(xi, M, Alpha, None, n)
-    val mj = Builder.build1D(xj, M, Alpha, None, n)
-    val h2 = Builder.build2D(xi, xj, mi.edges, mj.edges, M, Alpha)
+    val mi = build1D(xi, M, n)
+    val mj = build1D(xj, M, n)
+    val h2 = build2D(xi, xj, mi.edges, mj.edges, M)
     val expect = (0 until n).count(r => !xi(r).isNaN && !xj(r).isNaN)
     assert(h2.counts.map(_.sum).sum == expect)
   }
@@ -233,5 +245,13 @@ class BuilderSpec extends AnyFunSuite {
     assert(pm.forall(t => t >= 0 && t < ph.hist1d(1).k))
     // Parent assignment is monotone non-decreasing over refined bins.
     assert(pm.sliding(2).forall(p => p.length < 2 || p(0) <= p(1)))
+  }
+
+  test("a ragged sample is rejected") {
+    val specs = Array(spec("a"), spec("b"))
+    for (ragged <- Seq(Array(Array(1.0, 2.0, 3.0), Array(1.0, 2.0)), Array(Array(1.0, 2.0), Array(1.0, 2.0, 3.0))))
+      intercept[IllegalArgumentException](Builder.build(ragged, specs, 10L, 1, Alpha))
+    intercept[IllegalArgumentException](
+      Builder.buildWeighted(Array(Array(1.0, 2.0), Array(3.0, 4.0)), Array(1L), specs, 10L, 1, Alpha, Map.empty))
   }
 }

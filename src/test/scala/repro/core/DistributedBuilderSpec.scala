@@ -8,9 +8,12 @@ import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
 import repro.gd.{ColumnSpec, NumericCol}
 
-/** The distributed builder must produce the same synopsis as the local
-  * builder on the same sample — the Spark path only changes WHERE the
-  * sufficient statistics are computed, not WHAT they are.
+/** Both entry points run the same Algorithm 1 ([[Builder.buildWeighted]]);
+  * they differ only in how the sample gets there. These tests check that
+  * the one Spark aggregation of [[DistributedBuilder]] (distinct rows with
+  * their multiplicities) yields the same sufficient statistic as the
+  * weight-1 rows of [[Builder.build]] on the same sample, and so the same
+  * synopsis.
   */
 class DistributedBuilderSpec extends SparkSpec {
 
@@ -99,7 +102,7 @@ class DistributedBuilderSpec extends SparkSpec {
     assert(ph.pair(0, 1).get.counts.map(_.sum).sum == 0)
   }
 
-  /** Both builders on `df`; every histogram, null count and parameter equal. */
+  /** Both entry points on `df`; every histogram, null count and parameter equal. */
   private def assertBuildersAgree(df: DataFrame, m: Long): PairwiseHist = {
     val sp = specs(df.columns.toIndexedSeq: _*)
     val a = Builder.build(collectLocal(df), sp, 100000L, m, 0.001)

@@ -39,44 +39,37 @@ class HypothesisTestSpec extends AnyFunSuite {
     assert(skew > even)
   }
 
+  /** The uniformity check on weight-1 rows. */
+  private def isUniform(xs: Array[Double], lo: Double, hi: Double, u: Long, alpha: Double): Boolean =
+    HypothesisTest.nonUniformity(xs, Array.fill(xs.length)(1L), 0, xs.length, lo, hi, u, alpha) <= 1.0
+
   test("subBinCounts assigns half-open sub-bins with closed top") {
-    val counts = HypothesisTest.subBinCounts(Array(0.0, 0.9, 1.0, 1.9, 2.0, 3.0), 0.0, 3.0, 3)
+    val xs = Array(0.0, 0.9, 1.0, 1.9, 2.0, 3.0)
+    val counts = HypothesisTest.subBinCounts(xs, Array.fill(6)(1L), 0, 6, 0.0, 3.0, 3)
     // [0,1): {0, 0.9}; [1,2): {1.0, 1.9}; [2,3]: {2.0, 3.0}
     assert(counts.toSeq == Seq(2L, 2L, 2L))
+    // Rows 1 until 5 with weights 2..5: {0.9}; {1.0, 1.9}; {2.0}.
+    val weighted = HypothesisTest.subBinCounts(xs, Array(1L, 2L, 3L, 4L, 5L, 6L), 1, 5, 0.0, 3.0, 3)
+    assert(weighted.toSeq == Seq(2L, 7L, 5L))
   }
 
   test("uniform data passes IsUniform") {
     val rng = new Random(11)
     val xs = Array.fill(5000)(rng.nextDouble() * 100)
     val u = xs.distinct.length.toLong
-    assert(HypothesisTest.isUniform(xs, 0, 100, u, 0.001))
+    assert(isUniform(xs, 0, 100, u, 0.001))
   }
 
   test("bimodal data fails IsUniform") {
     val rng = new Random(13)
     val xs = Array.fill(5000)(if (rng.nextBoolean()) rng.nextDouble() * 5 else 95 + rng.nextDouble() * 5)
     val u = xs.distinct.length.toLong
-    assert(!HypothesisTest.isUniform(xs, 0, 100, u, 0.001))
+    assert(!isUniform(xs, 0, 100, u, 0.001))
   }
 
   test("tiny bins (s < 2) are trivially uniform") {
-    assert(HypothesisTest.isUniform(Array(1.0, 1.0), 0, 10, 0, 0.001))
-    assert(HypothesisTest.isUniform(Array.empty[Double], 0, 10, 5, 0.001))
-  }
-
-  test("isUniformCounts agrees with isUniform on the same sub-bin counts") {
-    val rng = new Random(17)
-    for (trial <- 1 to 20) {
-      val skewed = trial % 2 == 0
-      val xs = Array.fill(2000)(if (skewed) math.pow(rng.nextDouble(), 3) * 50 else rng.nextDouble() * 50)
-      val u = xs.distinct.length.toLong
-      val s = HypothesisTest.subBins(u)
-      val counts = HypothesisTest.subBinCounts(xs, 0, 50, s)
-      assert(
-        HypothesisTest.isUniform(xs, 0, 50, u, 0.001) == HypothesisTest.isUniformCounts(counts, 0.001),
-        s"trial=$trial"
-      )
-    }
+    assert(isUniform(Array(1.0, 1.0), 0, 10, 0, 0.001))
+    assert(isUniform(Array.empty[Double], 0, 10, 5, 0.001))
   }
 
   test("false-positive rate of the test is near alpha for uniform data") {
@@ -84,7 +77,7 @@ class HypothesisTestSpec extends AnyFunSuite {
     val alpha = 0.05
     val rejects = (1 to 400).count { _ =>
       val xs = Array.fill(1000)(rng.nextDouble() * 10)
-      !HypothesisTest.isUniform(xs, 0, 10, xs.distinct.length.toLong, alpha)
+      !isUniform(xs, 0, 10, xs.distinct.length.toLong, alpha)
     }
     // 400 trials at alpha=0.05: expect ~20 rejects; allow generous slack.
     assert(rejects < 60, s"rejects=$rejects")
