@@ -57,7 +57,8 @@ class SummaryBench extends SparkSpec {
     val pre = Preprocess.run(df)
     val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
     val seeds = GreedyGD.seeds(compressed, pre.specs)
-    val ph = repro.core.Builder.buildFromDf(pre.df, pre.specs, n, nS = 20000, m = 200, alpha = 0.001, initialEdges = seeds)
+    val sample = repro.core.Builder.collectSample(pre.df, n, nS = 20000, seed = 42)
+    val ph = repro.core.Builder.build(sample, pre.specs, n, m = 200, alpha = 0.001, initialEdges = seeds)
     val synopsis = Codec.sizeBytes(ph)
 
     val raw = compressed.originalBytes

@@ -80,30 +80,10 @@ object Builder {
     val pairs = for { i <- 1 until d; j <- 0 until i } yield (i, j)
     val hist2d = inParallel(pairs) { case (i, j) =>
       val h2 = build2D(values(i), values(j), wts, hist1d(i).meta.edges, hist1d(j).meta.edges, m, alpha)
-      Hist2D(
-        i, j,
-        shareDimMeta(h2.metaI, hist1d(i).meta),
-        shareDimMeta(h2.metaJ, hist1d(j).meta),
-        h2.counts
-      )
+      h2.copy(colI = i, colJ = j, metaI = h2.metaI.shareWith(hist1d(i).meta), metaJ = h2.metaJ.shareWith(hist1d(j).meta))
     }
 
     PairwiseHist(n, nS, m, alpha, specs, hist1d, pairs.zip(hist2d).toMap, nullCounts)
-  }
-
-  /** Collect a sample of a GD-domain DataFrame and build locally. */
-  def buildFromDf(
-      gdDf: DataFrame,
-      specs: Array[ColumnSpec],
-      n: Long,
-      nS: Int,
-      m: Long,
-      alpha: Double,
-      seed: Long = 42,
-      initialEdges: Map[Int, Array[Double]] = Map.empty
-  ): PairwiseHist = {
-    val sample = collectSample(gdDf, n, nS, seed)
-    build(sample, specs, n, m, alpha, initialEdges)
   }
 
   /** Deterministic unbiased sample of up to `nS` rows as column-major
@@ -156,7 +136,7 @@ object Builder {
     val counts = new Array[Long](edgeArr.length - 1)
     var q = 0
     while (q < vals.length) {
-      counts(binIndex(edgeArr, vals(q))) += wts(q)
+      counts(DimMeta.binOf(edgeArr, vals(q))) += wts(q)
       q += 1
     }
     DimMeta(edgeArr, vMin.toArray, vMax.toArray, uniq.toArray, counts)
@@ -241,7 +221,7 @@ object Builder {
     var r = 0
     while (r < xi.length) {
       if (!xi(r).isNaN && !xj(r).isNaN) {
-        val cell = binIndex(edgesI0, xi(r)) * kJ0 + binIndex(edgesJ0, xj(r))
+        val cell = DimMeta.binOf(edgesI0, xi(r)) * kJ0 + DimMeta.binOf(edgesJ0, xj(r))
         keys(n) = (cell << 32) | r
         n += 1
       }
@@ -327,69 +307,30 @@ object Builder {
     val counts = Array.fill(edgesI.length - 1)(new Array[Long](edgesJ.length - 1))
     var r = 0
     while (r < pi.length) {
-      counts(binIndex(edgesI, pi(r)))(binIndex(edgesJ, pj(r))) += pw(r)
+      counts(DimMeta.binOf(edgesI, pi(r)))(DimMeta.binOf(edgesJ, pj(r))) += pw(r)
       r += 1
     }
-    val cntI = counts.map(_.sum)
-    val cntJ = new Array[Long](edgesJ.length - 1)
-    counts.foreach(row => (0 until row.length).foreach(tj => cntJ(tj) += row(tj)))
-    Hist2D(0, 0, marginMeta(pi, edgesI, cntI), marginMeta(pj, edgesJ, cntJ), counts)
+    Hist2D.withMarginals(0, 0, marginMeta(pi, edgesI), marginMeta(pj, edgesJ), counts)
   }
 
   /** Per-bin min/max/distinct of `xs` along one dimension; empty bins take
-    * their edges as extrema.
+    * their edges as extrema. Counts are left to [[Hist2D.withMarginals]].
     */
-  private def marginMeta(xs: Array[Double], edges: Array[Double], cnt: Array[Long]): DimMeta = {
-    val k = cnt.length
+  private def marginMeta(xs: Array[Double], edges: Array[Double]): DimMeta = {
+    val k = edges.length - 1
     val vMin = Array.tabulate(k)(t => edges(t))
     val vMax = Array.tabulate(k)(t => edges(t + 1))
     val uniq = new Array[Long](k)
     sortedDistinct(xs).foreach { v =>
-      val t = binIndex(edges, v)
+      val t = DimMeta.binOf(edges, v)
       if (uniq(t) == 0) vMin(t) = v
       vMax(t) = v
       uniq(t) += 1
     }
-    DimMeta(edges, vMin, vMax, uniq, cnt)
-  }
-
-  /** Eq 12's storage model: a pair-dimension bin whose edges coincide with
-    * a 1-d bin SHARES that bin's metadata (only additional refined bins
-    * carry their own). Applying the sharing at build time keeps the codec a
-    * lossless round-trip. Marginal counts stay exact (they are rederivable
-    * from the count matrix).
-    */
-  def shareDimMeta(pairMeta: DimMeta, oneD: DimMeta): DimMeta = {
-    val parentBins = (0 until oneD.k).map(t => (oneD.edges(t), oneD.edges(t + 1)) -> t).toMap
-    val vMin = pairMeta.vMin.clone()
-    val vMax = pairMeta.vMax.clone()
-    val uniq = pairMeta.unique.clone()
-    var t = 0
-    while (t < pairMeta.k) {
-      parentBins.get((pairMeta.edges(t), pairMeta.edges(t + 1))) match {
-        case Some(p) =>
-          vMin(t) = oneD.vMin(p); vMax(t) = oneD.vMax(p); uniq(t) = oneD.unique(p)
-        case None => ()
-      }
-      t += 1
-    }
-    DimMeta(pairMeta.edges, vMin, vMax, uniq, pairMeta.counts)
+    DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
   }
 
   // ------------------------------------------------------------- helpers ----
-
-  /** Bin index with half-open bins and a closed final bin. */
-  def binIndex(edges: Array[Double], x: Double): Int = {
-    val k = edges.length - 1
-    if (x >= edges(k)) return k - 1
-    if (x <= edges(0)) return 0
-    var lo = 0; var hi = k - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (x >= edges(mid)) lo = mid else hi = mid - 1
-    }
-    lo
-  }
 
   /** First index with xs(idx) >= v. */
   def lowerBound(xs: Array[Double], v: Double): Int = {

@@ -33,8 +33,8 @@ final class Engine(ph: PairwiseHist) {
   private val parentMaps: Map[(Int, Int), Array[Int]] =
     ph.hist2d.valuesIterator.flatMap { h =>
       Seq(
-        (h.colI, h.colJ) -> h.parentMap(ph.hist1d(h.colI), 'i'),
-        (h.colJ, h.colI) -> h.parentMap(ph.hist1d(h.colJ), 'j')
+        (h.colI, h.colJ) -> h.metaI.parents(ph.hist1d(h.colI).meta),
+        (h.colJ, h.colI) -> h.metaJ.parents(ph.hist1d(h.colJ).meta)
       )
     }.toMap
 

@@ -35,9 +35,40 @@ final case class DimMeta(
     (lo, hi)
   }
 
-  /** Index of the bin containing `x` (edges half-open, last bin closed). */
-  def binOf(x: Double): Int = {
-    var lo = 0; var hi = k - 1
+  /** For each bin of a pair dimension that refines `oneD`, the 1-d bin
+    * containing it: its centre's bin.
+    */
+  def parents(oneD: DimMeta): Array[Int] =
+    Array.tabulate(k)(t => DimMeta.binOf(oneD.edges, (edges(t) + edges(t + 1)) / 2))
+
+  /** Eq 12: for each bin of a pair dimension that refines `oneD`, the 1-d
+    * bin whose metadata it shares, or -1. A bin shares exactly when both of
+    * its edges are its parent's edges, i.e. refinement did not split it.
+    */
+  def sharedBins(oneD: DimMeta): Array[Int] = {
+    val p = parents(oneD)
+    Array.tabulate(k)(t => if (edges(t) == oneD.edges(p(t)) && edges(t + 1) == oneD.edges(p(t) + 1)) p(t) else -1)
+  }
+
+  /** This pair dimension with every bin that `sharedBins` pairs with a 1-d
+    * bin taking that bin's vMin/vMax/unique. The builder stores pair
+    * metadata this way and the codec stores only the rest.
+    */
+  def shareWith(oneD: DimMeta): DimMeta = {
+    val p = sharedBins(oneD)
+    def pick[A: scala.reflect.ClassTag](own: Array[A], theirs: Array[A]): Array[A] =
+      Array.tabulate(k)(t => if (p(t) >= 0) theirs(p(t)) else own(t))
+    DimMeta(edges, pick(vMin, oneD.vMin), pick(vMax, oneD.vMax), pick(unique, oneD.unique), counts)
+  }
+}
+
+object DimMeta {
+
+  /** Index of the bin of `edges` containing `x`: bins are half-open, the
+    * last bin is closed, and values outside the edges clamp to the end bins.
+    */
+  def binOf(edges: Array[Double], x: Double): Int = {
+    var lo = 0; var hi = edges.length - 2
     while (lo < hi) {
       val mid = (lo + hi + 1) >>> 1
       if (x >= edges(mid)) lo = mid else hi = mid - 1
@@ -60,15 +91,21 @@ final case class Hist1D(col: Int, meta: DimMeta) {
 final case class Hist2D(colI: Int, colJ: Int, metaI: DimMeta, metaJ: DimMeta, counts: Array[Array[Long]]) {
   require(counts.length == metaI.k, s"rows=${counts.length} metaI.k=${metaI.k}")
   require(counts.forall(_.length == metaJ.k))
+}
 
-  /** Map each refined bin of this pair's `dim` to its parent 1-d bin. */
-  def parentMap(oneD: Hist1D, dim: Char): Array[Int] = {
-    val refined = if (dim == 'i') metaI.edges else metaJ.edges
-    val kRef = refined.length - 1
-    Array.tabulate(kRef) { t =>
-      val centre = (refined(t) + refined(t + 1)) / 2
-      oneD.meta.binOf(centre)
+object Hist2D {
+
+  /** A pair histogram whose dimensions carry the count matrix's marginals:
+    * row sums along i, column sums along j. Marginal counts are never
+    * stored (Fig 6); the builder and the codec both derive them here.
+    */
+  def withMarginals(colI: Int, colJ: Int, metaI: DimMeta, metaJ: DimMeta, counts: Array[Array[Long]]): Hist2D = {
+    val cntJ = new Array[Long](metaJ.k)
+    counts.foreach { row =>
+      var tj = 0
+      while (tj < row.length) { cntJ(tj) += row(tj); tj += 1 }
     }
+    Hist2D(colI, colJ, metaI.copy(counts = counts.map(_.sum)), metaJ.copy(counts = cntJ), counts)
   }
 }
 

@@ -7,28 +7,48 @@ import repro.gd.{CategoricalCol, ColumnSpec, NumericCol}
 
 /** Binary synopsis encoding (§4.3, Fig 6).
   *
-  * Midpoints and weighted-centre bounds are rederivable and never stored;
-  * 2-d marginal metadata counts are row/column sums of the count matrix and
-  * are likewise rederived at decode time. Each count matrix is stored
-  * either densely (l_h bits per count, Eq 13) or sparsely (Golomb-coded
-  * deltas between non-zero flat indices + Golomb-coded counts), whichever
-  * is smaller — the binary flag I_h in Fig 6.
+  * One writer defines the layout, in this order: parameters (header, column
+  * specs, null counts); every 1-d dimension's edges and bin metadata; every
+  * 1-d count vector; the number of pairs; then per pair, in key order, its
+  * column indices, both dimensions and its count matrix. [[encode]] keeps
+  * the bytes and [[measure]] the section sizes of that same pass, so the
+  * breakdown always sums to the encoded size.
+  *
+  * Midpoints and weighted-centre bounds are rederivable and never stored.
+  * A pair dimension stores only the edges that refinement added and the
+  * metadata of the bins that [[repro.core.DimMeta.sharedBins]] does not
+  * share with a 1-d bin (Eq 12); 2-d marginal counts are rederived from the
+  * count matrix. Each count vector or matrix is stored either densely (l_h
+  * bits per count, Eq 13) or sparsely (Golomb-coded deltas between non-zero
+  * flat indices + Golomb-coded counts), whichever is smaller — the binary
+  * flag I_h in Fig 6.
   */
 object Codec {
 
   private val Magic = 0x5048 // "PH"
+  private val Version = 1
 
   final case class SizeBreakdown(params: Long, hist1d: Long, hist2d: Long, counts: Long) {
     def total: Long = params + hist1d + hist2d + counts
   }
 
-  // ------------------------------------------------------------- encode ----
+  def encode(ph: PairwiseHist): Array[Byte] = write(ph)._1
 
-  def encode(ph: PairwiseHist): Array[Byte] = {
+  /** Encoded size with an Eq-11-style breakdown (params / 1-d / 2-d / counts). */
+  def measure(ph: PairwiseHist): SizeBreakdown = write(ph)._2
+
+  def sizeBytes(ph: PairwiseHist): Long = measure(ph).total
+
+  /** The layout: writes `ph` once and tallies the bytes of each section. */
+  private def write(ph: PairwiseHist): (Array[Byte], SizeBreakdown) = {
     val bos = new ByteArrayOutputStream()
     val out = new DataOutputStream(bos)
+    val sizes = new Array[Long](4) // params, 1-d, 2-d, counts
+    var mark = 0
+    def tally(section: Int): Unit = { sizes(section) += out.size() - mark; mark = out.size() }
+
     out.writeShort(Magic)
-    out.writeByte(1)
+    out.writeByte(Version)
     out.writeShort(ph.d)
     out.writeLong(ph.n)
     out.writeLong(ph.nS)
@@ -36,28 +56,35 @@ object Codec {
     out.writeDouble(ph.alpha)
     ph.specs.foreach(writeSpec(out, _))
     ph.nullCounts.foreach(writeVarLong(out, _))
-    ph.hist1d.foreach(h => writeDim(out, h.meta))
-    ph.hist1d.foreach(h => writeCountsVec(out, h.meta.counts))
-    // Pairs in deterministic order. Per Eq 12, pair dimensions store only
-    // their ADDITIONAL refined edges + metadata for bins that do not
-    // coincide with a 1-d bin (those share the 1-d metadata).
+    tally(0)
+    ph.hist1d.foreach { h =>
+      writeVarLong(out, h.k.toLong)
+      h.meta.edges.foreach(out.writeDouble)
+      writeBins(out, h.meta, Array.fill(h.k)(-1))
+    }
+    tally(1)
+    ph.hist1d.foreach(h => writeCounts(out, h.meta.counts))
+    tally(3)
     val pairKeys = ph.hist2d.keys.toSeq.sorted
-    writeVarLong(out, pairKeys.size)
+    writeVarLong(out, pairKeys.size.toLong)
+    tally(2)
     pairKeys.foreach { case (i, j) =>
-      out.writeShort(i); out.writeShort(j)
       val h2 = ph.hist2d((i, j))
+      out.writeShort(i); out.writeShort(j)
       writePairDim(out, h2.metaI, ph.hist1d(i).meta)
       writePairDim(out, h2.metaJ, ph.hist1d(j).meta)
-      writeMatrix(out, h2.counts)
+      tally(2)
+      writeCounts(out, h2.counts.flatten)
+      tally(3)
     }
     out.flush()
-    bos.toByteArray
+    (bos.toByteArray, SizeBreakdown(sizes(0), sizes(1), sizes(2), sizes(3)))
   }
 
   def decode(bytes: Array[Byte]): PairwiseHist = {
     val in = new DataInputStream(new ByteArrayInputStream(bytes))
     require(in.readShort() == Magic, "bad magic")
-    require(in.readByte() == 1, "bad version")
+    require(in.readByte() == Version, "bad version")
     val d = in.readShort().toInt
     val n = in.readLong()
     val nS = in.readLong()
@@ -65,52 +92,24 @@ object Codec {
     val alpha = in.readDouble()
     val specs = Array.fill(d)(readSpec(in))
     val nullCounts = Array.fill(d)(readVarLong(in))
-    val dims = Array.fill(d)(readDim(in))
-    val hist1d = dims.zipWithIndex.map { case (dm0, i) =>
-      Hist1D(i, dm0.copy(counts = readCountsVec(in, dm0.k)))
+    val dims = Array.fill(d) {
+      val dm = emptyBins(Array.fill(readVarLong(in).toInt + 1)(in.readDouble()))
+      readBins(in, dm, Array.fill(dm.k)(-1))
+      dm
     }
+    val hist1d = dims.zipWithIndex.map { case (dm, i) => Hist1D(i, dm.copy(counts = readCounts(in, dm.k))) }
     val nPairs = readVarLong(in).toInt
     val hist2d = (0 until nPairs).map { _ =>
       val i = in.readShort().toInt
       val j = in.readShort().toInt
       val metaI = readPairDim(in, hist1d(i).meta)
       val metaJ = readPairDim(in, hist1d(j).meta)
-      val counts = readMatrix(in, metaI.k, metaJ.k)
-      val margI = Array.tabulate(metaI.k)(t => counts(t).sum)
-      val margJ = Array.tabulate(metaJ.k)(tj => counts.map(_(tj)).sum)
-      (i, j) -> Hist2D(i, j, metaI.copy(counts = margI), metaJ.copy(counts = margJ), counts)
+      val flat = readCounts(in, metaI.k * metaJ.k)
+      val counts = Array.tabulate(metaI.k)(ti => flat.slice(ti * metaJ.k, (ti + 1) * metaJ.k))
+      (i, j) -> Hist2D.withMarginals(i, j, metaI, metaJ, counts)
     }.toMap
     PairwiseHist(n, nS, m, alpha, specs, hist1d, hist2d, nullCounts)
   }
-
-  /** Encoded size with an Eq-11-style breakdown (params / 1-d / 2-d / counts). */
-  def measure(ph: PairwiseHist): SizeBreakdown = {
-    def sized(f: DataOutputStream => Unit): Long = {
-      val bos = new ByteArrayOutputStream(); val out = new DataOutputStream(bos)
-      f(out); out.flush(); bos.size().toLong
-    }
-    val params = sized { out =>
-      out.writeShort(Magic); out.writeByte(1); out.writeShort(ph.d)
-      out.writeLong(ph.n); out.writeLong(ph.nS); out.writeLong(ph.m); out.writeDouble(ph.alpha)
-      ph.specs.foreach(writeSpec(out, _))
-      ph.nullCounts.foreach(writeVarLong(out, _))
-    }
-    val h1 = sized(out => ph.hist1d.foreach(h => writeDim(out, h.meta)))
-    val h2 = sized { out =>
-      ph.hist2d.toSeq.sortBy(_._1).foreach { case ((i, j), h) =>
-        out.writeShort(0); out.writeShort(0)
-        writePairDim(out, h.metaI, ph.hist1d(i).meta)
-        writePairDim(out, h.metaJ, ph.hist1d(j).meta)
-      }
-    }
-    val cnts = sized { out =>
-      ph.hist1d.foreach(h => writeCountsVec(out, h.meta.counts))
-      ph.hist2d.toSeq.sortBy(_._1).foreach { case (_, h) => writeMatrix(out, h.counts) }
-    }
-    SizeBreakdown(params, h1, h2, cnts)
-  }
-
-  def sizeBytes(ph: PairwiseHist): Long = encode(ph).length.toLong
 
   // --------------------------------------------------------------- parts ----
 
@@ -137,117 +136,55 @@ object Codec {
     }
   }
 
-  /** Dimension metadata: edges as doubles (refinement midpoints are dyadic
-    * fractions), then per bin the unique count and — only for non-empty
-    * bins — vMin/vMax as varlongs (actual GD integers). Empty bins fall
-    * back to their edges, matching the builder's convention, so nothing is
-    * stored for them. Counts are not written here: 1-d counts follow as
-    * their own vector and pair marginals are re-derived from the matrix.
+  /** Bin metadata of every bin `t` with `shared(t) < 0`: the unique count
+    * and — only for non-empty bins — vMin/vMax as varlongs (actual GD
+    * integers). Empty bins fall back to their edges, matching the builder's
+    * convention, so nothing more is stored for them. Edges are doubles
+    * (refinement midpoints are dyadic fractions) written by the caller.
     */
-  private def writeDim(out: DataOutputStream, dm: DimMeta): Unit = {
-    writeVarLong(out, dm.k.toLong)
-    dm.edges.foreach(out.writeDouble)
-    var t = 0
-    while (t < dm.k) {
+  private def writeBins(out: DataOutputStream, dm: DimMeta, shared: Array[Int]): Unit =
+    for (t <- 0 until dm.k if shared(t) < 0) {
       writeVarLong(out, dm.unique(t))
       if (dm.unique(t) > 0) {
         writeVarLong(out, math.rint(dm.vMin(t)).toLong)
         writeVarLong(out, math.rint(dm.vMax(t)).toLong)
       }
-      t += 1
     }
-  }
 
-  private def readDim(in: DataInputStream): DimMeta = {
-    val k = readVarLong(in).toInt
-    val edges = Array.fill(k + 1)(in.readDouble())
-    val vMin = new Array[Double](k)
-    val vMax = new Array[Double](k)
-    val uniq = new Array[Long](k)
-    var t = 0
-    while (t < k) {
-      uniq(t) = readVarLong(in)
-      if (uniq(t) > 0) {
-        vMin(t) = readVarLong(in).toDouble
-        vMax(t) = readVarLong(in).toDouble
-      } else {
-        vMin(t) = edges(t)
-        vMax(t) = edges(t + 1)
+  /** Reads what [[writeBins]] wrote into the bins of `dm` it names. */
+  private def readBins(in: DataInputStream, dm: DimMeta, shared: Array[Int]): Unit =
+    for (t <- 0 until dm.k if shared(t) < 0) {
+      dm.unique(t) = readVarLong(in)
+      if (dm.unique(t) > 0) {
+        dm.vMin(t) = readVarLong(in).toDouble
+        dm.vMax(t) = readVarLong(in).toDouble
       }
-      t += 1
     }
-    DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
+
+  /** Metadata on `edges` with every bin empty and zero counts. */
+  private def emptyBins(edges: Array[Double]): DimMeta = {
+    val k = edges.length - 1
+    DimMeta(edges, edges.init, edges.tail, new Array[Long](k), new Array[Long](k))
   }
 
-  /** Pair dimension (Eq 12): only refined edges beyond the 1-d histogram
-    * plus metadata of bins that do not coincide with a 1-d bin. The builder
-    * applies the same sharing ([[repro.core.Builder.shareDimMeta]]), so the
-    * reconstruction is an exact round-trip.
+  /** Pair dimension (Eq 12): the edges that are not 1-d edges, then the
+    * bins that do not share a 1-d bin's metadata.
     */
   private def writePairDim(out: DataOutputStream, dm: DimMeta, oneD: DimMeta): Unit = {
-    val oneDEdges = oneD.edges.toSet
-    val newEdges = dm.edges.filterNot(oneDEdges.contains)
-    writeVarLong(out, newEdges.length.toLong)
-    newEdges.foreach(out.writeDouble)
-    val parentBins = (0 until oneD.k).map(t => (oneD.edges(t), oneD.edges(t + 1))).toSet
-    var t = 0
-    while (t < dm.k) {
-      if (!parentBins.contains((dm.edges(t), dm.edges(t + 1)))) {
-        writeVarLong(out, dm.unique(t))
-        if (dm.unique(t) > 0) {
-          writeVarLong(out, math.rint(dm.vMin(t)).toLong)
-          writeVarLong(out, math.rint(dm.vMax(t)).toLong)
-        }
-      }
-      t += 1
-    }
+    val added = dm.edges.filter(e => java.util.Arrays.binarySearch(oneD.edges, e) < 0)
+    writeVarLong(out, added.length.toLong)
+    added.foreach(out.writeDouble)
+    writeBins(out, dm, dm.sharedBins(oneD))
   }
 
   private def readPairDim(in: DataInputStream, oneD: DimMeta): DimMeta = {
-    val nNew = readVarLong(in).toInt
-    val newEdges = Array.fill(nNew)(in.readDouble())
-    val edges = (oneD.edges ++ newEdges).distinct.sorted
-    val k = edges.length - 1
-    val parentBins = (0 until oneD.k).map(t => (oneD.edges(t), oneD.edges(t + 1)) -> t).toMap
-    val vMin = new Array[Double](k)
-    val vMax = new Array[Double](k)
-    val uniq = new Array[Long](k)
-    var t = 0
-    while (t < k) {
-      parentBins.get((edges(t), edges(t + 1))) match {
-        case Some(p) =>
-          vMin(t) = oneD.vMin(p); vMax(t) = oneD.vMax(p); uniq(t) = oneD.unique(p)
-        case None =>
-          uniq(t) = readVarLong(in)
-          if (uniq(t) > 0) {
-            vMin(t) = readVarLong(in).toDouble
-            vMax(t) = readVarLong(in).toDouble
-          } else {
-            vMin(t) = edges(t)
-            vMax(t) = edges(t + 1)
-          }
-      }
-      t += 1
-    }
-    DimMeta(edges, vMin, vMax, uniq, new Array[Long](k))
+    val added = Array.fill(readVarLong(in).toInt)(in.readDouble())
+    val dm = emptyBins((oneD.edges ++ added).sorted)
+    readBins(in, dm, dm.sharedBins(oneD))
+    dm.shareWith(oneD)
   }
 
-  /** 1-d count vector: dense bit-packed (Eq 13) vs sparse Golomb — smaller wins. */
-  private def writeCountsVec(out: DataOutputStream, counts: Array[Long]): Unit =
-    writeCountsFlat(out, counts)
-
-  private def readCountsVec(in: DataInputStream, k: Int): Array[Long] =
-    readCountsFlat(in, k)
-
-  private def writeMatrix(out: DataOutputStream, counts: Array[Array[Long]]): Unit =
-    writeCountsFlat(out, counts.flatten)
-
-  private def readMatrix(in: DataInputStream, kI: Int, kJ: Int): Array[Array[Long]] = {
-    val flat = readCountsFlat(in, kI * kJ)
-    Array.tabulate(kI)(ti => flat.slice(ti * kJ, (ti + 1) * kJ))
-  }
-
-  private def writeCountsFlat(out: DataOutputStream, flat: Array[Long]): Unit = {
+  private def writeCounts(out: DataOutputStream, flat: Array[Long]): Unit = {
     val maxC = if (flat.isEmpty) 0L else flat.max
     val lh = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(maxC)) // Eq 13: ceil(log2(1+max))
     val denseBits = flat.length.toLong * lh
@@ -286,7 +223,7 @@ object Codec {
     }
   }
 
-  private def readCountsFlat(in: DataInputStream, k: Int): Array[Long] = {
+  private def readCounts(in: DataInputStream, k: Int): Array[Long] = {
     val sparse = in.readBoolean()
     if (sparse) {
       val theta = readVarLong(in).toInt

@@ -94,8 +94,6 @@ object Runner {
       latencyMs: Map[String, Double]
   )
 
-  val Systems = Seq("PairwiseHist", "DeepDB", "DBEst++")
-
   def evaluate(built: Built, queries: Seq[Query], gt: GroundTruth): Seq[Eval] =
     queries.flatMap { q =>
       gt.answer(q).map { truth =>

@@ -18,12 +18,16 @@ class IntegrationSpec extends SparkSpec {
   private lazy val pre = Preprocess.run(df)
   private lazy val gt = GroundTruth.forDataFrame(df, "temp_it")
 
+  /** A sample of `nS` rows of the GD frame, built locally. */
+  private def buildSample(nS: Int, m: Long, seeds: Map[Int, Array[Double]] = Map.empty): PairwiseHist =
+    Builder.build(Builder.collectSample(pre.df, n, nS, seed = 42), pre.specs, n, m, alpha = 0.001, seeds)
+
   test("framework end-to-end with GD base seeding") {
     val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
     assert(compressed.ratio > 0.5) // compression may or may not win, but must be sane
 
     val seeds = GreedyGD.seeds(compressed, pre.specs)
-    val ph = Builder.buildFromDf(pre.df, pre.specs, n, nS = 8000, m = 80, alpha = 0.001, initialEdges = seeds)
+    val ph = buildSample(nS = 8000, m = 80, seeds)
 
     // Codec round-trip, then query through the DECODED synopsis: storage is
     // part of the pipeline, not an afterthought.
@@ -45,7 +49,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("sampled synopsis still answers within tolerance (rho < 1)") {
-    val ph = Builder.buildFromDf(pre.df, pre.specs, n, nS = 2000, m = 20, alpha = 0.001)
+    val ph = buildSample(nS = 2000, m = 20)
     val engine = new Engine(ph)
     val q = Query(AggFn.Count, "temperature", Some(Cond("device", Op.Eq, "sensor001")))
     val truth = gt.answer(q).get
@@ -55,7 +59,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("GROUP BY end-to-end vs ground truth") {
-    val ph = Builder.buildFromDf(pre.df, pre.specs, n, nS = 8000, m = 80, alpha = 0.001)
+    val ph = buildSample(nS = 8000, m = 80)
     val engine = new Engine(ph)
     val q = Query(AggFn.Avg, "temperature", Some(Cond("humidity", Op.Ge, 45.0)), groupBy = Some("device"))
     val est = engine.runGroupBy(q).toMap
@@ -71,7 +75,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("synopsis is orders of magnitude smaller than the data") {
-    val ph = Builder.buildFromDf(pre.df, pre.specs, n, nS = 8000, m = 80, alpha = 0.001)
+    val ph = buildSample(nS = 8000, m = 80)
     val synopsisBytes = Codec.sizeBytes(ph)
     val dataBytes = n * df.columns.length * 8L // fixed-width estimate
     assert(synopsisBytes * 20 < dataBytes, s"synopsis=$synopsisBytes data=$dataBytes")

@@ -3,6 +3,7 @@ package repro.core
 import java.security.MessageDigest
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.SynopsisAssertions.assertSameSynopsis
 import repro.encoding.Codec
 import repro.gd.{ColumnSpec, NumericCol}
 
@@ -14,7 +15,9 @@ import scala.util.Random
   *
   * The first three samples are the frames of DistributedBuilderGoldenSpec,
   * drawn in the same RNG order with the same column names, so both entry
-  * points must reproduce the same constants.
+  * points must reproduce the same constants. Each synopsis must also equal
+  * its decoded copy field by field, and its size breakdown must sum to the
+  * encoded size.
   */
 class BuilderGoldenSpec extends AnyFunSuite {
 
@@ -103,8 +106,13 @@ class BuilderGoldenSpec extends AnyFunSuite {
     (0 to 2).map(_ -> Array.tabulate(15)(k => 64.0 * (k + 1))).toMap
 
   private def hash(sample: Array[Array[Double]], names: Seq[String], m: Long,
-                   seeds: Map[Int, Array[Double]] = Map.empty): String =
-    sha256(Codec.encode(Builder.build(sample, specs(names), 120000L, m, 0.001, seeds)))
+                   seeds: Map[Int, Array[Double]] = Map.empty): String = {
+    val ph = Builder.build(sample, specs(names), 120000L, m, 0.001, seeds)
+    val bytes = Codec.encode(ph)
+    assertSameSynopsis(ph, Codec.decode(bytes))
+    assert(Codec.measure(ph).total == bytes.length)
+    sha256(bytes)
+  }
 
   test("golden: mixed 3-column sample with 8% nulls") {
     assert(hash(mixed, Seq("a", "b", "c"), 120) ==

@@ -54,7 +54,7 @@ class BuilderSpec extends AnyFunSuite {
     val dm = build1D(xs, M, xs.length.toLong)
     val sorted = xs.sorted
     for (t <- 0 until dm.k) {
-      val inBin = sorted.filter(v => Builder.binIndex(dm.edges, v) == t)
+      val inBin = sorted.filter(v => DimMeta.binOf(dm.edges, v) == t)
       if (inBin.nonEmpty) {
         assert(dm.vMin(t) == inBin.min, s"bin $t vMin")
         assert(dm.vMax(t) == inBin.max, s"bin $t vMax")
@@ -91,9 +91,9 @@ class BuilderSpec extends AnyFunSuite {
     val xs = Array.fill(400)(0.0) ++ Array.fill(100)(50.0)
     val dm = build1D(xs, M, 500)
     assert(dm.counts.sum == 500)
-    val t0 = Builder.binIndex(dm.edges, 0.0)
+    val t0 = DimMeta.binOf(dm.edges, 0.0)
     assert(dm.vMin(t0) == 0.0)
-    val t1 = Builder.binIndex(dm.edges, 50.0)
+    val t1 = DimMeta.binOf(dm.edges, 50.0)
     assert(dm.vMax(t1) == 50.0)
   }
 
@@ -139,16 +139,6 @@ class BuilderSpec extends AnyFunSuite {
     // First-half bins should be narrower than last bin.
     val widths = (0 until dm.k).map(t => dm.edges(t + 1) - dm.edges(t))
     assert(widths.head < widths.last)
-  }
-
-  test("binIndex handles boundaries: half-open bins, closed last bin") {
-    val edges = Array(0.0, 10.0, 20.0)
-    assert(Builder.binIndex(edges, 0.0) == 0)
-    assert(Builder.binIndex(edges, 9.999) == 0)
-    assert(Builder.binIndex(edges, 10.0) == 1)
-    assert(Builder.binIndex(edges, 20.0) == 1) // closed top
-    assert(Builder.binIndex(edges, -5.0) == 0) // clamped
-    assert(Builder.binIndex(edges, 25.0) == 1) // clamped
   }
 
   test("lowerBound/upperBound are standard binary searches") {
@@ -231,7 +221,7 @@ class BuilderSpec extends AnyFunSuite {
     assert(ph.hist1d.forall(_.meta.counts.sum == n))
   }
 
-  test("parentMap maps refined pair bins onto 1-d bins") {
+  test("parents maps refined pair bins onto 1-d bins") {
     val rng = new Random(97)
     val n = 10000
     val sample = Array(
@@ -240,7 +230,7 @@ class BuilderSpec extends AnyFunSuite {
     )
     val ph = Builder.build(sample, Array(spec("a"), spec("b")), n.toLong, 200, Alpha)
     val pairH = ph.pair(1, 0).get
-    val pm = pairH.parentMap(ph.hist1d(1), 'i')
+    val pm = pairH.metaI.parents(ph.hist1d(1).meta)
     assert(pm.length == pairH.metaI.k)
     assert(pm.forall(t => t >= 0 && t < ph.hist1d(1).k))
     // Parent assignment is monotone non-decreasing over refined bins.

@@ -4,6 +4,7 @@ import java.security.MessageDigest
 
 import org.apache.spark.sql.DataFrame
 import repro.SparkSpec
+import repro.core.SynopsisAssertions.assertSameSynopsis
 import repro.encoding.Codec
 import repro.gd.{ColumnSpec, NumericCol}
 
@@ -12,7 +13,9 @@ import scala.util.Random
 /** Pins the encoded bytes of [[DistributedBuilder]] synopses on fixed-seed
   * frames. The frames are generated on the driver, so they do not depend on
   * how many partitions Spark uses. A change to the builder that alters any
-  * edge, count or metadata value changes a hash here.
+  * edge, count or metadata value changes a hash here. Each synopsis must
+  * also equal its decoded copy field by field, and its size breakdown must
+  * sum to the encoded size.
   */
 class DistributedBuilderGoldenSpec extends SparkSpec {
 
@@ -52,8 +55,13 @@ class DistributedBuilderGoldenSpec extends SparkSpec {
   }
 
   private def hash(df: DataFrame, names: Seq[String], m: Long,
-                   seeds: Map[Int, Array[Double]] = Map.empty): String =
-    sha256(Codec.encode(DistributedBuilder.build(df, specs(names: _*), 120000L, m, 0.001, seeds)))
+                   seeds: Map[Int, Array[Double]] = Map.empty): String = {
+    val ph = DistributedBuilder.build(df, specs(names: _*), 120000L, m, 0.001, seeds)
+    val bytes = Codec.encode(ph)
+    assertSameSynopsis(ph, Codec.decode(bytes))
+    assert(Codec.measure(ph).total == bytes.length)
+    sha256(bytes)
+  }
 
   test("golden: mixed 3-column sample with 8% nulls") {
     assert(hash(mixedDf, Seq("a", "b", "c"), 120) ==

@@ -6,6 +6,7 @@ import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import org.apache.spark.storage.StorageLevel
 import repro.SparkSpec
+import repro.core.SynopsisAssertions.assertDimEqual
 import repro.gd.{ColumnSpec, NumericCol}
 
 /** Both entry points run the same Algorithm 1 ([[Builder.buildWeighted]]);
@@ -37,14 +38,6 @@ class DistributedBuilderSpec extends SparkSpec {
 
   private lazy val phLocal = Builder.build(localSample, specs("a", "b", "c"), 120000L, 120, 0.001)
   private lazy val phDist = DistributedBuilder.build(sampleDf, specs("a", "b", "c"), 120000L, 120, 0.001)
-
-  private def assertDimEqual(x: DimMeta, y: DimMeta, label: String): Unit = {
-    assert(x.edges.toSeq == y.edges.toSeq, s"$label edges")
-    assert(x.counts.toSeq == y.counts.toSeq, s"$label counts")
-    assert(x.vMin.toSeq == y.vMin.toSeq, s"$label vMin")
-    assert(x.vMax.toSeq == y.vMax.toSeq, s"$label vMax")
-    assert(x.unique.toSeq == y.unique.toSeq, s"$label unique")
-  }
 
   test("1-d histograms are identical to the local builder") {
     for (i <- 0 until 3) assertDimEqual(phLocal.hist1d(i).meta, phDist.hist1d(i).meta, s"col $i")

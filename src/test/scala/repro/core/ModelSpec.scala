@@ -20,13 +20,22 @@ class ModelSpec extends AnyFunSuite {
   }
 
   test("binOf finds the containing bin with clamping") {
-    assert(meta.binOf(0.0) == 0)
-    assert(meta.binOf(9.99) == 0)
-    assert(meta.binOf(10.0) == 1)
-    assert(meta.binOf(39.0) == 2)
-    assert(meta.binOf(40.0) == 2)
-    assert(meta.binOf(1e9) == 2)
-    assert(meta.binOf(-5.0) == 0)
+    def binOf(x: Double): Int = DimMeta.binOf(meta.edges, x)
+    assert(binOf(0.0) == 0)
+    assert(binOf(9.99) == 0)
+    assert(binOf(10.0) == 1)
+    assert(binOf(39.0) == 2)
+    assert(binOf(40.0) == 2)
+    assert(binOf(1e9) == 2)
+    assert(binOf(-5.0) == 0)
+    // Half-open bins, closed last bin, clamped at both ends.
+    val edges = Array(0.0, 10.0, 20.0)
+    assert(DimMeta.binOf(edges, 0.0) == 0)
+    assert(DimMeta.binOf(edges, 9.999) == 0)
+    assert(DimMeta.binOf(edges, 10.0) == 1)
+    assert(DimMeta.binOf(edges, 20.0) == 1)
+    assert(DimMeta.binOf(edges, -5.0) == 0)
+    assert(DimMeta.binOf(edges, 25.0) == 1)
   }
 
   test("midpoints derive from vMin/vMax, not edges") {
@@ -55,14 +64,31 @@ class ModelSpec extends AnyFunSuite {
     assert(ph.d == 2)
   }
 
-  test("parentMap maps refined bins to their 1-d parents") {
-    val oneD = Hist1D(0, DimMeta(Array(0.0, 20.0, 40.0), Array(0.0, 20.0), Array(19.0, 39.0), Array(5L, 5L), Array(10L, 10L)))
-    val refined = DimMeta(
-      edges = Array(0.0, 10.0, 20.0, 40.0),
-      vMin = Array(0.0, 10.0, 20.0), vMax = Array(9.0, 19.0, 39.0),
-      unique = Array(3L, 3L, 5L), counts = Array(5L, 5L, 10L)
-    )
-    val h2 = Hist2D(0, 1, refined, refined, Array.fill(3)(Array.fill(3)(0L)))
-    assert(h2.parentMap(oneD, 'i').toSeq == Seq(0, 0, 1))
+  private val oneD = DimMeta(Array(0.0, 20.0, 40.0), Array(0.0, 21.0), Array(19.0, 39.0), Array(5L, 4L), Array(10L, 10L))
+  private val refined = DimMeta(
+    edges = Array(0.0, 10.0, 20.0, 40.0),
+    vMin = Array(0.0, 10.0, 20.0), vMax = Array(9.0, 19.0, 39.0),
+    unique = Array(3L, 3L, 5L), counts = Array(5L, 5L, 10L)
+  )
+
+  test("parents maps refined bins to their 1-d parents") {
+    assert(refined.parents(oneD).toSeq == Seq(0, 0, 1))
+  }
+
+  test("sharedBins shares a coinciding bin and not a split one") {
+    // 1-d bin 0 was split into [0,10) and [10,20); 1-d bin 1 = [20,40] was not.
+    assert(refined.sharedBins(oneD).toSeq == Seq(-1, -1, 1))
+    val shared = refined.shareWith(oneD)
+    assert(shared.vMin.toSeq == Seq(0.0, 10.0, 21.0))
+    assert(shared.vMax.toSeq == Seq(9.0, 19.0, 39.0))
+    assert(shared.unique.toSeq == Seq(3L, 3L, 4L))
+    assert(shared.counts.toSeq == refined.counts.toSeq)
+  }
+
+  test("withMarginals sets row and column sums as the pair's marginal counts") {
+    val h2 = Hist2D.withMarginals(1, 0, refined, oneD, Array(Array(1L, 2L), Array(0L, 3L), Array(4L, 0L)))
+    assert(h2.metaI.counts.toSeq == Seq(3L, 3L, 4L))
+    assert(h2.metaJ.counts.toSeq == Seq(5L, 5L))
+    assert(h2.metaI.edges.toSeq == refined.edges.toSeq && h2.metaJ.vMin.toSeq == oneD.vMin.toSeq)
   }
 }

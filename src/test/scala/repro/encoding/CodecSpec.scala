@@ -2,6 +2,7 @@ package repro.encoding
 
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{Builder, PairwiseHist}
+import repro.core.SynopsisAssertions.assertSameSynopsis
 import repro.gd.{CategoricalCol, ColumnSpec, NumericCol}
 
 import scala.util.Random
@@ -25,35 +26,10 @@ class CodecSpec extends AnyFunSuite {
   }
 
   test("encode/decode roundtrips the complete synopsis") {
+    // Every field, pair vMin/vMax/unique and the rederived marginal counts
+    // included.
     val ph = buildSample()
-    val bytes = Codec.encode(ph)
-    val back = Codec.decode(bytes)
-
-    assert(back.n == ph.n && back.nS == ph.nS && back.m == ph.m && back.alpha == ph.alpha)
-    assert(back.d == ph.d)
-    assert(back.nullCounts.toSeq == ph.nullCounts.toSeq)
-    assert(back.specs.map(_.name).toSeq == ph.specs.map(_.name).toSeq)
-
-    for (i <- 0 until ph.d) {
-      val a = ph.hist1d(i).meta
-      val b = back.hist1d(i).meta
-      assert(a.edges.toSeq == b.edges.toSeq, s"col $i edges")
-      assert(a.vMin.toSeq == b.vMin.toSeq, s"col $i vMin")
-      assert(a.vMax.toSeq == b.vMax.toSeq, s"col $i vMax")
-      assert(a.unique.toSeq == b.unique.toSeq, s"col $i unique")
-      assert(a.counts.toSeq == b.counts.toSeq, s"col $i counts")
-    }
-    assert(back.hist2d.keySet == ph.hist2d.keySet)
-    for ((k, a) <- ph.hist2d) {
-      val b = back.hist2d(k)
-      assert(a.counts.map(_.toSeq).toSeq == b.counts.map(_.toSeq).toSeq, s"pair $k counts")
-      assert(a.metaI.edges.toSeq == b.metaI.edges.toSeq)
-      assert(a.metaJ.edges.toSeq == b.metaJ.edges.toSeq)
-      assert(a.metaI.unique.toSeq == b.metaI.unique.toSeq)
-      // Marginal counts are rederived from the matrix.
-      assert(a.metaI.counts.toSeq == b.metaI.counts.toSeq)
-      assert(a.metaJ.counts.toSeq == b.metaJ.counts.toSeq)
-    }
+    assertSameSynopsis(ph, Codec.decode(Codec.encode(ph)))
   }
 
   test("decoded specs preserve the literal transforms") {
@@ -73,9 +49,8 @@ class CodecSpec extends AnyFunSuite {
   test("measure breakdown sums close to the true encoded size") {
     val ph = buildSample()
     val b = Codec.measure(ph)
-    val actual = Codec.sizeBytes(ph)
-    // measure re-encodes the same sections, modulo tiny per-pair headers.
-    assert(math.abs(b.total - actual) < 64 + ph.hist2d.size * 4, s"${b.total} vs $actual")
+    // measure tallies the sections of the one encoding pass.
+    assert(b.total == Codec.encode(ph).length, s"${b.total} vs ${Codec.encode(ph).length}")
     assert(b.params > 0 && b.hist1d > 0 && b.hist2d > 0 && b.counts > 0)
   }
 

@@ -114,11 +114,14 @@ class PreprocessSpec extends SparkSpec {
     assert(math.abs(spec.fromGdVar(400.0) - 4.0) < 1e-12)
   }
 
-  test("preprocessing a TPC-H-lite table keeps row count and is deterministic") {
-    val li = repro.SynthData.lineitem(spark, sf = 0.001, seed = 0)
-    val r1 = Preprocess.run(li)
-    assert(r1.df.count() == li.count())
-    val r2 = Preprocess.run(repro.SynthData.lineitem(spark, sf = 0.001, seed = 0))
+  test("a dataset frame with a date column keeps row count and is deterministic") {
+    // The temp stand-in (string, integer and decimal columns) plus a date column.
+    def frame(): DataFrame = repro.data.Datasets.byName("temp")(spark, 0.001, seed = 0)
+      .withColumn("day", date_add(lit("1992-01-01").cast(DateType), (rand(9) * 2557).cast("int")))
+    val r1 = Preprocess.run(frame())
+    assert(r1.df.count() == frame().count())
+    assert(r1.specs.exists(s => s.name == "day" && s.kind.isInstanceOf[NumericCol]))
+    val r2 = Preprocess.run(frame())
     def render(s: ColumnSpec): String = s.kind match {
       case NumericCol(sc, mn)   => s"num($sc,$mn)"
       case CategoricalCol(dict) => s"cat(${dict.mkString("|")})"
