@@ -52,7 +52,8 @@ final case class DimMeta(
 
   /** This pair dimension with every bin that `sharedBins` pairs with a 1-d
     * bin taking that bin's vMin/vMax/unique. The builder stores pair
-    * metadata this way and the codec stores only the rest.
+    * metadata this way, so the codec, which stores only the unshared bins,
+    * decodes it exactly.
     */
   def shareWith(oneD: DimMeta): DimMeta = {
     val p = sharedBins(oneD)
