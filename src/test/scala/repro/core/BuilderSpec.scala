@@ -141,6 +141,16 @@ class BuilderSpec extends AnyFunSuite {
     assert(widths.head < widths.last)
   }
 
+  test("binIndex handles boundaries: half-open bins, closed last bin") {
+    val edges = Array(0.0, 10.0, 20.0)
+    assert(DimMeta.binOf(edges, 0.0) == 0)
+    assert(DimMeta.binOf(edges, 9.999) == 0)
+    assert(DimMeta.binOf(edges, 10.0) == 1)
+    assert(DimMeta.binOf(edges, 20.0) == 1) // closed top
+    assert(DimMeta.binOf(edges, -5.0) == 0) // clamped
+    assert(DimMeta.binOf(edges, 25.0) == 1) // clamped
+  }
+
   test("lowerBound/upperBound are standard binary searches") {
     val xs = Array(1.0, 2.0, 2.0, 5.0, 9.0)
     assert(Builder.lowerBound(xs, 2.0) == 1)

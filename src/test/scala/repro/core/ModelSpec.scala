@@ -28,14 +28,6 @@ class ModelSpec extends AnyFunSuite {
     assert(binOf(40.0) == 2)
     assert(binOf(1e9) == 2)
     assert(binOf(-5.0) == 0)
-    // Half-open bins, closed last bin, clamped at both ends.
-    val edges = Array(0.0, 10.0, 20.0)
-    assert(DimMeta.binOf(edges, 0.0) == 0)
-    assert(DimMeta.binOf(edges, 9.999) == 0)
-    assert(DimMeta.binOf(edges, 10.0) == 1)
-    assert(DimMeta.binOf(edges, 20.0) == 1)
-    assert(DimMeta.binOf(edges, -5.0) == 0)
-    assert(DimMeta.binOf(edges, 25.0) == 1)
   }
 
   test("midpoints derive from vMin/vMax, not edges") {
