@@ -20,7 +20,7 @@ object RunDistributedBuild {
     val dataset = args.headOption.getOrElse("power")
     val sf = args.lift(1).map(_.toDouble).getOrElse(0.05)
     val nS = args.lift(2).map(_.toInt).getOrElse(20000)
-    val spark = SparkSession.builder.appName("pairwisehist-distributed-build").getOrCreate()
+    val spark = SparkSession.builder().appName("pairwisehist-distributed-build").getOrCreate()
 
     val df = Datasets.byName(dataset)(spark, sf)
     val n = df.count()

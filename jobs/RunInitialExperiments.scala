@@ -14,7 +14,7 @@ object RunInitialExperiments {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.01)
     val nS = args.lift(1).map(_.toInt).getOrElse(10000)
     val nQ = args.lift(2).map(_.toInt).getOrElse(40)
-    val spark = SparkSession.builder.appName("pairwisehist-initial").getOrCreate()
+    val spark = SparkSession.builder().appName("pairwisehist-initial").getOrCreate()
     println(f"${"dataset"}%-10s | ${"PH err%"}%8s ${"DD err%"}%8s ${"DB err%"}%8s | ${"PH KB"}%7s ${"DD KB"}%7s ${"DB KB"}%7s")
     for (d <- Datasets.all) {
       val r = Experiments.initialExperiment(spark, d.name, sf, nS, nQ, seed = 31 + d.name.hashCode % 97)

@@ -16,7 +16,7 @@ object RunScaled {
     val rowsFlights = args.lift(1).map(_.toLong).getOrElse(1000000L)
     val nS = args.lift(2).map(_.toInt).getOrElse(20000)
     val nQ = args.lift(3).map(_.toInt).getOrElse(120)
-    val spark = SparkSession.builder.appName("pairwisehist-scaled").getOrCreate()
+    val spark = SparkSession.builder().appName("pairwisehist-scaled").getOrCreate()
 
     val runs = Seq(
       ("power", Experiments.scaledExperiment(spark, "power", 0.05, rowsPower, nS, nQ, seed = 1236)),

@@ -11,7 +11,7 @@ import repro.workload.Experiments
 object RunTable4 {
   def main(args: Array[String]): Unit = {
     val sf = args.headOption.map(_.toDouble).getOrElse(0.01)
-    val spark = SparkSession.builder.appName("pairwisehist-table4").getOrCreate()
+    val spark = SparkSession.builder().appName("pairwisehist-table4").getOrCreate()
     println(f"${"dataset"}%-10s | ${"rows"}%9s ${"cols"}%5s ${"size MB"}%8s | ${"paper rows"}%10s ${"cols"}%5s ${"MB"}%7s")
     for (d <- Datasets.all) {
       val s = Experiments.datasetStats(spark, d.name, sf)

@@ -1,6 +1,6 @@
 package repro.baselines.dbest
 
-import repro.core.{AggFn, AqpResult, Cond, And, Or, IntervalSet, PredTree, Query}
+import repro.core.{AggFn, AqpResult, Cond, IntervalSet, Query}
 import repro.gd.{ColumnSpec, CategoricalCol}
 
 /** DBEst++-lite: one model per query template [21, 40].
@@ -214,7 +214,7 @@ object DbEst {
     if (!Set[AggFn](AggFn.Count, AggFn.Sum, AggFn.Avg, AggFn.Var).contains(q.agg)) return None
     val conds = q.where match {
       case None       => return None // needs a predicate template
-      case Some(tree) => flattenAnd(tree).getOrElse(return None)
+      case Some(tree) => tree.flattenAnd.getOrElse(return None)
     }
     val predCols = conds.map(_.col).distinct
     if (predCols.length != 1 || predCols.head == q.aggCol) return None
@@ -224,22 +224,12 @@ object DbEst {
     client.templates.get((aggIdx, predIdx)).map((_, conds))
   }
 
-  private def flattenAnd(tree: PredTree): Option[List[Cond]] = tree match {
-    case c: Cond   => Some(List(c))
-    case And(kids) =>
-      kids.foldLeft(Option(List.empty[Cond])) {
-        case (Some(acc), k) => flattenAnd(k).map(acc ++ _)
-        case (None, _)      => None
-      }
-    case _: Or => None
-  }
-
   def run(client: Client, q: Query): Option[AqpResult] = {
     val (tpl, conds) = templateFor(client, q).getOrElse(return None)
     val predIdx = client.specs.indexWhere(_.name == conds.head.col)
     val spec = client.specs(predIdx)
     val aggSpec = client.specs(tpl.aggCol)
-    val set = conds.map(c => IntervalSet.ofCond(c.op, spec.toGd(c.value))).reduce(_ intersect _)
+    val set = conds.map(IntervalSet.ofCond(_, spec)).reduce(_ intersect _)
     if (set.isEmpty) return None
 
     // Integrate density (and density * regression) over the interval set.

@@ -1,6 +1,6 @@
 package repro.baselines.spn
 
-import repro.core.{AggFn, AqpResult, Cond, Coverage, IntervalSet, And, Or, PredTree, Query}
+import repro.core.{AggFn, AqpResult, Coverage, DimMeta, IntervalSet, Query}
 import repro.gd.ColumnSpec
 
 /** DeepDB-lite: a Sum-Product Network baseline in the spirit of RSPNs [20].
@@ -101,7 +101,7 @@ object Spn {
     val mx = Array.fill(kk)(Double.NaN)
     val sets = Array.fill(kk)(new java.util.HashSet[java.lang.Double]())
     vals.foreach { v =>
-      val t = binIdx(edges, v)
+      val t = DimMeta.binOf(edges, v)
       counts(t) += 1
       if (mn(t).isNaN || v < mn(t)) mn(t) = v
       if (mx(t).isNaN || v > mx(t)) mx(t) = v
@@ -117,18 +117,6 @@ object Spn {
       vals.length.toLong,
       nullFrac
     )
-  }
-
-  private def binIdx(edges: Array[Double], v: Double): Int = {
-    val k = edges.length - 1
-    if (v >= edges(k)) return k - 1
-    if (v <= edges(0)) return 0
-    var lo = 0; var hi = k - 1
-    while (lo < hi) {
-      val mid = (lo + hi + 1) >>> 1
-      if (v >= edges(mid)) lo = mid else hi = mid - 1
-    }
-    lo
   }
 
   private def correlationComponents(rows: Array[Array[Double]], cols: Vector[Int]): Vector[Vector[Int]] = {
@@ -232,14 +220,14 @@ object Spn {
     if (!Set[AggFn](AggFn.Count, AggFn.Sum, AggFn.Avg).contains(q.agg)) return None
     val sets: Map[Int, IntervalSet] = q.where match {
       case None => Map.empty
-      case Some(tree) => flattenAnd(tree) match {
+      case Some(tree) => tree.flattenAnd match {
         case Some(conds) =>
           conds
             .groupBy(_.col)
             .map { case (name, cs) =>
               val j = model.specs.indexWhere(_.name == name)
               require(j >= 0, s"unknown column $name")
-              j -> cs.map(c => IntervalSet.ofCond(c.op, model.specs(j).toGd(c.value))).reduce(_ intersect _)
+              j -> cs.map(IntervalSet.ofCond(_, model.specs(j))).reduce(_ intersect _)
             }
         case None => return None
       }
@@ -270,17 +258,6 @@ object Spn {
         }
       case _ => None
     }
-  }
-
-  /** Flatten an AND-only tree to its conditions; None if it contains OR. */
-  private def flattenAnd(tree: PredTree): Option[List[Cond]] = tree match {
-    case c: Cond => Some(List(c))
-    case And(kids) =>
-      kids.foldLeft(Option(List.empty[Cond])) {
-        case (Some(acc), k) => flattenAnd(k).map(acc ++ _)
-        case (None, _)      => None
-      }
-    case _: Or => None
   }
 
   /** Returns (p, pLo, pHi, e, eLo, eHi) where p is the predicate probability

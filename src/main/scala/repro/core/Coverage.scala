@@ -1,5 +1,7 @@
 package repro.core
 
+import repro.gd.ColumnSpec
+
 /** Closed integer intervals over the GD domain and predicate coverage
   * estimation (§5.2).
   *
@@ -71,6 +73,11 @@ object IntervalSet {
     case Op.Ne =>
       if (v == math.rint(v)) normalise(List((NegInf, v - 1), (v + 1, PosInf))) else full
   }
+
+  /** §5.1 literal transformation: condition `c`, whose literal is in the
+    * original domain, as a GD-domain interval set of its column `spec`.
+    */
+  def ofCond(c: Cond, spec: ColumnSpec): IntervalSet = ofCond(c.op, spec.toGd(c.value))
 }
 
 /** Coverage (Eq 14): per-bin probability that a point satisfies a predicate
@@ -78,7 +85,23 @@ object IntervalSet {
   */
 object Coverage {
 
-  final case class Vec(est: Array[Double], lo: Array[Double], hi: Array[Double])
+  /** A per-bin estimate with its lower and upper bounds. */
+  final case class Vec(est: Array[Double], lo: Array[Double], hi: Array[Double]) {
+    def map(f: Array[Double] => Array[Double]): Vec = Vec(f(est), f(lo), f(hi))
+
+    /** Element-wise `f` of each vector with its counterpart in `that`. */
+    def zip(that: Vec)(f: (Double, Double) => Double): Vec = {
+      // A plain loop: Array.tabulate would box every element on this
+      // per-query path.
+      def z(x: Array[Double], y: Array[Double]) = {
+        val r = new Array[Double](x.length)
+        var t = 0
+        while (t < r.length) { r(t) = f(x(t), y(t)); t += 1 }
+        r
+      }
+      Vec(z(est, that.est), z(lo, that.lo), z(hi, that.hi))
+    }
+  }
 
   /** Coverage of `set` over every bin of `meta`, with bounds.
     *

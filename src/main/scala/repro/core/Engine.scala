@@ -26,20 +26,22 @@ final class Engine(ph: PairwiseHist) {
   private val centreBoundsCache: Array[(Array[Double], Array[Double])] =
     Array.tabulate(ph.d)(i => ph.hist1d(i).meta.centreBounds(ph.m, ph.alpha))
 
-  // Refined-bin -> 1-d-bin maps are likewise query-independent. Keyed by
-  // (aggregation column, predicate column): the map of the aggregation
-  // column's dimension of that pair. Built once, so the engine holds no
-  // mutable state and can be shared across threads.
-  private val parentMaps: Map[(Int, Int), Array[Int]] =
+  /** A pair histogram seen from its aggregation column: `pred` is the
+    * predicate dimension, `counts` has one row per aggregation-dimension
+    * bin, and `parent` maps each of those bins to its 1-d bin.
+    */
+  private final class PairView(val pred: DimMeta, val counts: Array[Array[Long]], val parent: Array[Int])
+
+  // One view per (aggregation column, predicate column): the stored matrix
+  // for column I, one transposed copy for column J. Built once, so the
+  // engine holds no mutable state and can be shared across threads.
+  private val views: Map[(Int, Int), PairView] =
     ph.hist2d.valuesIterator.flatMap { h =>
       Seq(
-        (h.colI, h.colJ) -> h.metaI.parents(ph.hist1d(h.colI).meta),
-        (h.colJ, h.colI) -> h.metaJ.parents(ph.hist1d(h.colJ).meta)
+        (h.colI, h.colJ) -> new PairView(h.metaJ, h.counts, h.metaI.parents(ph.hist1d(h.colI).meta)),
+        (h.colJ, h.colI) -> new PairView(h.metaI, h.counts.transpose, h.metaJ.parents(ph.hist1d(h.colJ).meta))
       )
     }.toMap
-
-  /** Per-1-d-bin probability vector with bounds. */
-  private final case class ProbVec(est: Array[Double], lo: Array[Double], hi: Array[Double])
 
   def run(q: Query): Option[AqpResult] = {
     require(q.groupBy.isEmpty, "use runGroupBy for GROUP BY queries")
@@ -74,24 +76,23 @@ final class Engine(ph: PairwiseHist) {
     val meta = ph.hist1d(i).meta
     val k = meta.k
     val p = where match {
-      case None    => ProbVec(Array.fill(k)(1.0), Array.fill(k)(1.0), Array.fill(k)(1.0))
+      case None    => Coverage.Vec(Array.fill(k)(1.0), Array.fill(k)(1.0), Array.fill(k)(1.0))
       case Some(w) => evalTree(w, i)
     }
-    val (wEst, wLo, wHi) = weightings(meta, p)
     val oneD = q.columns == Set(q.aggCol)
-    aggregate(q.agg, i, wEst, wLo, wHi, oneD)
+    aggregate(q.agg, i, weightings(meta, p), oneD)
   }
 
   /** Recursive predicate evaluation with same-column consolidation. A bare
     * condition behaves like a one-element AND group.
     */
-  private def evalTree(tree: PredTree, i: Int): ProbVec = tree match {
+  private def evalTree(tree: PredTree, i: Int): Coverage.Vec = tree match {
     case c: Cond   => evalNode(isAnd = true, List(c), i)
     case And(kids) => evalNode(isAnd = true, kids, i)
     case Or(kids)  => evalNode(isAnd = false, kids, i)
   }
 
-  private def evalNode(isAnd: Boolean, kids: List[PredTree], i: Int): ProbVec = {
+  private def evalNode(isAnd: Boolean, kids: List[PredTree], i: Int): Coverage.Vec = {
     val (conds, subtrees) = kids.partition(_.isInstanceOf[Cond])
     // Delayed transformation: conditions on the same column directly under
     // one connective are consolidated into a single interval set before the
@@ -103,101 +104,64 @@ final class Engine(ph: PairwiseHist) {
       .sortBy(_._1)
       .map { case (colName, cs) =>
         val j = ph.columnIndex(colName)
-        val sets = cs.map(c => IntervalSet.ofCond(c.op, ph.specs(j).toGd(c.value)))
+        val sets = cs.map(IntervalSet.ofCond(_, ph.specs(j)))
         val set = if (isAnd) sets.reduce(_ intersect _) else sets.reduce(_ union _)
         pairProb(i, j, set)
       }
     val subVecs = subtrees.map(st => evalTree(st, i))
     val all = condVecs ++ subVecs
     require(all.nonEmpty, "empty predicate node")
-    if (isAnd) all.reduce(combineAnd) else all.reduce(combineOr)
+    // Eq 25 under conditional independence is the element-wise product;
+    // bounds are monotone in each factor, so lows multiply with lows.
+    // Eq 26 is the union 1 - prod(1 - p).
+    if (isAnd) all.reduce((a, b) => a.zip(b)(_ * _))
+    else all.reduce((a, b) => a.zip(b)((x, y) => 1.0 - (1.0 - x) * (1.0 - y)))
   }
-
-  /** Eq 25 under conditional independence: element-wise product. Bounds are
-    * monotone in each factor, so lows multiply with lows.
-    */
-  private def combineAnd(a: ProbVec, b: ProbVec): ProbVec =
-    ProbVec(
-      mult(a.est, b.est),
-      mult(a.lo, b.lo),
-      mult(a.hi, b.hi)
-    )
-
-  /** Eq 26: union via 1 - prod(1 - p). */
-  private def combineOr(a: ProbVec, b: ProbVec): ProbVec = {
-    def or(x: Array[Double], y: Array[Double]) =
-      Array.tabulate(x.length)(t => 1.0 - (1.0 - x(t)) * (1.0 - y(t)))
-    ProbVec(or(a.est, b.est), or(a.lo, b.lo), or(a.hi, b.hi))
-  }
-
-  private def mult(x: Array[Double], y: Array[Double]): Array[Double] =
-    Array.tabulate(x.length)(t => x(t) * y(t))
 
   /** Eq 27: per-1-d-bin probability that a point of aggregation column `i`
     * satisfies the condition set on column `j`, via the (i,j) pair
     * histogram. Same-column conditions (j == i) read the 1-d histogram
     * directly.
     */
-  private def pairProb(i: Int, j: Int, set: IntervalSet): ProbVec = {
+  private def pairProb(i: Int, j: Int, set: IntervalSet): Coverage.Vec = {
     val meta1 = ph.hist1d(i).meta
-    if (i == j) {
-      val cov = Coverage.coverage(set, meta1, ph.m, ph.alpha)
-      ProbVec(cov.est, cov.lo, cov.hi)
-    } else {
-      val pairHist = ph.pair(i, j).getOrElse(
-        throw new IllegalStateException(s"missing pair histogram ($i,$j)")
-      )
-      val predIsI = pairHist.colI == j
-      val predMeta = if (predIsI) pairHist.metaI else pairHist.metaJ
-      val aggMeta = if (predIsI) pairHist.metaJ else pairHist.metaI
-      val cov = Coverage.coverage(set, predMeta, ph.m, ph.alpha)
-
-      // nu = H^(ij) beta over the pair's refined aggregation-dimension bins.
-      val kAggRef = aggMeta.k
-      def numerator(beta: Array[Double]): Array[Double] = {
-        val nu = new Array[Double](kAggRef)
-        if (predIsI) {
-          var ti = 0
-          while (ti < pairHist.metaI.k) {
-            val b = beta(ti)
-            if (b > 0) {
-              val row = pairHist.counts(ti)
-              var tj = 0
-              while (tj < row.length) { nu(tj) += row(tj) * b; tj += 1 }
-            }
-            ti += 1
-          }
-        } else {
-          var ti = 0
-          while (ti < pairHist.counts.length) {
-            val row = pairHist.counts(ti)
-            var tj = 0
-            while (tj < row.length) {
-              val b = beta(tj)
-              if (b > 0) nu(ti) += row(tj) * b
-              tj += 1
-            }
-            ti += 1
-          }
-        }
-        nu
-      }
-
-      // Sum refined aggregation bins back onto their parent 1-d bins, then
-      // divide by the 1-d bin counts (Eq 27).
-      val parent = parentMaps((i, j))
+    if (i == j) Coverage.coverage(set, meta1, ph.m, ph.alpha)
+    else {
+      val view = views.getOrElse((i, j), throw new IllegalStateException(s"missing pair histogram ($i,$j)"))
+      // nu = H^(ij) beta over the pair's refined aggregation bins, each
+      // summed onto its parent 1-d bin, then divided by the 1-d counts. Only
+      // predicate bins with beta > 0 are visited, in ascending order, so
+      // each cell keeps its summation order.
       def toProb(beta: Array[Double]): Array[Double] = {
-        val nu = numerator(beta)
-        val agg = new Array[Double](meta1.k)
-        var t = 0
-        while (t < nu.length) { agg(parent(t)) += nu(t); t += 1 }
-        Array.tabulate(meta1.k) { t =>
-          val h = meta1.counts(t)
-          if (h <= 0) 0.0 else math.min(1.0, math.max(0.0, agg(t) / h))
+        val nz = new Array[Int](beta.length)
+        var nnz = 0
+        var tp = 0
+        while (tp < beta.length) {
+          if (beta(tp) > 0) { nz(nnz) = tp; nnz += 1 }
+          tp += 1
         }
+        val p = new Array[Double](meta1.k)
+        var ta = 0
+        while (ta < view.counts.length) {
+          val row = view.counts(ta)
+          var nu = 0.0
+          var q = 0
+          while (q < nnz) {
+            nu += row(nz(q)) * beta(nz(q))
+            q += 1
+          }
+          p(view.parent(ta)) += nu
+          ta += 1
+        }
+        var t = 0
+        while (t < p.length) {
+          val h = meta1.counts(t)
+          p(t) = if (h <= 0) 0.0 else math.min(1.0, math.max(0.0, p(t) / h))
+          t += 1
+        }
+        p
       }
-
-      ProbVec(toProb(cov.est), toProb(cov.lo), toProb(cov.hi))
+      Coverage.coverage(set, view.pred, ph.m, ph.alpha).map(toProb)
     }
   }
 
@@ -210,7 +174,7 @@ final class Engine(ph: PairwiseHist) {
     * derives ("variance is estimated according to the Binomial
     * distribution"). Exact bins (beta in {0,1}) are not widened.
     */
-  private def weightings(meta: DimMeta, p: ProbVec): (Array[Double], Array[Double], Array[Double]) = {
+  private def weightings(meta: DimMeta, p: Coverage.Vec): Coverage.Vec = {
     val k = meta.k
     val fpc = if (ph.n <= 1) 0.0 else math.max(0.0, (ph.n - ph.nS).toDouble / (ph.n - 1).toDouble)
     val w = new Array[Double](k)
@@ -232,16 +196,13 @@ final class Engine(ph: PairwiseHist) {
       wHi(t) = math.min(h, hi)
       t += 1
     }
-    (w, wLo, wHi)
+    Coverage.Vec(w, wLo, wHi)
   }
 
   // --------------------------------------------------------- aggregation ----
 
-  private def aggregate(
-      fn: AggFn, i: Int,
-      w: Array[Double], wLo: Array[Double], wHi: Array[Double],
-      oneD: Boolean
-  ): Option[AqpResult] = {
+  private def aggregate(fn: AggFn, i: Int, weights: Coverage.Vec, oneD: Boolean): Option[AqpResult] = {
+    val Coverage.Vec(w, wLo, wHi) = weights
     val meta = ph.hist1d(i).meta
     val spec = ph.specs(i)
     val c = meta.midpoints
@@ -274,8 +235,8 @@ final class Engine(ph: PairwiseHist) {
         val hi = (cands.map(wc => dot(wc, cHi) / norm1(wc)) :+ (dot(w, c) / nw)).max
         ordered(est, spec.fromGd(lo), spec.fromGd(hi))
 
-      case AggFn.Min => minMax(isMin = true, meta, spec, w, wLo, wHi, oneD)
-      case AggFn.Max => minMax(isMin = false, meta, spec, w, wLo, wHi, oneD)
+      case AggFn.Min => minMax(isMin = true, meta, spec, weights, oneD)
+      case AggFn.Max => minMax(isMin = false, meta, spec, weights, oneD)
 
       case AggFn.Median =>
         if (nw <= 0) return None
@@ -321,9 +282,9 @@ final class Engine(ph: PairwiseHist) {
 
   /** MIN and MAX per Table 3 / Eqs 30–33 (MAX mirrors MIN). */
   private def minMax(
-      isMin: Boolean, meta: DimMeta, spec: ColumnSpec,
-      w: Array[Double], wLo: Array[Double], wHi: Array[Double], oneD: Boolean
+      isMin: Boolean, meta: DimMeta, spec: ColumnSpec, weights: Coverage.Vec, oneD: Boolean
   ): Option[AqpResult] = {
+    val Coverage.Vec(w, wLo, wHi) = weights
     val k = meta.k
     def firstIdx(v: Array[Double], thresh: Double): Option[Int] = {
       val r = if (isMin) 0 until k else (k - 1) to 0 by -1
@@ -377,6 +338,9 @@ final class Engine(ph: PairwiseHist) {
     }
     w.length - 1
   }
+
+  private def mult(x: Array[Double], y: Array[Double]): Array[Double] =
+    Array.tabulate(x.length)(t => x(t) * y(t))
 
   private def dot(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var t = 0

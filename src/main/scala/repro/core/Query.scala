@@ -44,6 +44,13 @@ sealed trait PredTree {
     case _: Or   => true
   }
 
+  /** The conditions of an AND-only tree, or None if it contains an OR. */
+  def flattenAnd: Option[List[Cond]] = this match {
+    case c: Cond => Some(List(c))
+    case And(cs) => cs.foldLeft(Option(List.empty[Cond]))((acc, k) => acc.flatMap(a => k.flattenAnd.map(a ++ _)))
+    case _: Or   => None
+  }
+
   def toSql: String = this match {
     case Cond(c, op, v) => s"$c ${op.sql} ${PredTree.lit(v)}"
     case And(cs)        => cs.map(x => s"(${x.toSql})").mkString(" AND ")

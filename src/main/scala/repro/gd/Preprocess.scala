@@ -115,7 +115,7 @@ object Preprocess {
         case other => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
       }
     }
-    val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
+    val row = df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()(0)
     val dicts = dictionaries(df)
 
     fields.zipWithIndex.map { case (f, i) =>

@@ -100,7 +100,7 @@ class PreprocessSpec extends SparkSpec {
     val spec = result.specs(0)
     val gd = result.df.select("d").collect().flatMap(r => if (r.isNullAt(0)) None else Some(r.getLong(0)))
     val orig = df.select("d").collect().flatMap(r => if (r.isNullAt(0)) None else Some(r.getDouble(0)))
-    assert(gd.map(spec.fromGd(_)).sorted.toSeq == orig.sorted.toSeq)
+    assert(gd.map(v => spec.fromGd(v.toDouble)).sorted.toSeq == orig.sorted.toSeq)
   }
 
   test("fromGdSum scales the affine shift by the count") {
