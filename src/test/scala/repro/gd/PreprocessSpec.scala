@@ -175,6 +175,91 @@ class PreprocessSpec extends SparkSpec {
     assert(e.getMessage.contains((Preprocess.MaxDictSize + 1).toString), e.getMessage)
   }
 
+  /** Reference of the numeric rule `fit` must keep: per column, nulls by
+    * `sum(when(isNull))`; for fractional types seven BigDecimal-`round`
+    * probes pick the first p with max |x·10^p − round(x·10^p)| < 1e-6 (else
+    * 6); the min has one arm per type. Returns (name, scale, minScaled,
+    * nullCount) for every non-string column.
+    */
+  private def referenceNumericSpecs(df: DataFrame): Seq[(String, Long, Long, Long)] = {
+    val fields = df.schema.fields.filter(_.dataType != StringType)
+    val aggs = fields.toSeq.flatMap { f =>
+      val c = col(f.name)
+      val nulls = sum(when(c.isNull, 1L).otherwise(0L)).as(s"${f.name}__nulls")
+      f.dataType match {
+        case DoubleType | FloatType | _: DecimalType =>
+          Seq(nulls) ++ (0 to 6).map { p =>
+            val scaled = c.cast(DoubleType) * math.pow(10, p)
+            max(abs(scaled - round(scaled))).as(s"${f.name}__frac$p")
+          } :+ min(c.cast(DoubleType)).as(s"${f.name}__min")
+        case DateType =>
+          Seq(nulls, min(datediff(c, lit("1970-01-01").cast(DateType)).cast(DoubleType)).as(s"${f.name}__min"))
+        case TimestampType =>
+          Seq(nulls, min(unix_timestamp(c).cast(DoubleType)).as(s"${f.name}__min"))
+        case BooleanType =>
+          Seq(nulls, min(c.cast(IntegerType).cast(DoubleType)).as(s"${f.name}__min"))
+        case _ =>
+          Seq(nulls, min(c.cast(DoubleType)).as(s"${f.name}__min"))
+      }
+    }
+    val row = df.agg(aggs.head, aggs.tail: _*).collect()(0)
+    def opt(name: String): Option[Double] = Option(row.getAs[Any](name)).map(_.asInstanceOf[Double])
+    fields.toSeq.map { f =>
+      val p = f.dataType match {
+        case DoubleType | FloatType | _: DecimalType =>
+          (0 to 6).find(p => opt(s"${f.name}__frac$p").forall(m => math.abs(m) < 1e-6)).getOrElse(6)
+        case _ => 0
+      }
+      val scale = math.pow(10, p).toLong
+      val mn = opt(s"${f.name}__min").getOrElse(0.0)
+      val nulls = Option(row.getAs[Any](s"${f.name}__nulls")).map(_.asInstanceOf[Long]).getOrElse(0L)
+      (f.name, scale, math.rint(mn * scale).toLong, nulls)
+    }
+  }
+
+  private def numericSpecs(specs: Array[ColumnSpec]): Seq[(String, Long, Long, Long)] =
+    specs.toSeq.collect { case ColumnSpec(n, NumericCol(scale, mn), nulls) => (n, scale, mn, nulls) }
+
+  /** One column per case; shorter columns are padded with nulls. */
+  private def columns(cols: (String, DataType, Seq[Any])*): DataFrame = {
+    import scala.jdk.CollectionConverters._
+    val n = cols.map(_._3.length).max
+    val schema = StructType(cols.map { case (name, t, _) => StructField(name, t, nullable = true) })
+    val rows = (0 until n).map(r => Row.fromSeq(cols.map(_._3.lift(r).orNull)))
+    spark.createDataFrame(rows.asJava, schema)
+  }
+
+  test("fit's numeric specs equal the reference rule on adversarial doubles and every supported type") {
+    def ts(s: String) = java.sql.Timestamp.valueOf(s)
+    val frame = columns(
+      ("sum", DoubleType, Seq(0.1 + 0.2)),
+      ("offGrid", DoubleType, Seq(1.0000002, 0.5)),
+      ("twoHalf", DoubleType, Seq(2.5, -2.5)),
+      ("belowHalf", DoubleType, Seq(0.49999999999999994)),
+      ("micro", DoubleType, Seq(1.0000005)),
+      ("bigHalf", DoubleType, Seq(1e15 + 0.5)),
+      ("negZero", DoubleType, Seq(-0.0)),
+      ("huge", DoubleType, Seq(Double.MaxValue)),
+      ("tiny", DoubleType, Seq(Double.MinPositiveValue)),
+      ("allNull", DoubleType, Seq(null, null)),
+      ("f", FloatType, Seq(1.1f, -3.25f, null)),
+      ("dec", DecimalType(10, 3), Seq(BigDecimal("12.345").bigDecimal, BigDecimal("-0.001").bigDecimal, null)),
+      ("i", IntegerType, Seq(5, null, -7)),
+      ("l", LongType, Seq(null, 1L << 40, -3L)),
+      ("dt", DateType, Seq(java.sql.Date.valueOf("2021-03-04"), null, java.sql.Date.valueOf("1969-12-30"))),
+      ("ts", TimestampType, Seq(ts("2021-03-04 05:06:07"), null, ts("1999-12-31 23:59:59"))),
+      ("b", BooleanType, Seq(true, null, true)),
+      ("s", StringType, Seq("x", null))
+    )
+    val got = numericSpecs(Preprocess.fit(frame))
+    val want = referenceNumericSpecs(frame)
+    assert(got.map(_._1) == want.map(_._1))
+    got.zip(want).foreach { case (g, w) => assert(g == w, s"column ${w._1}") }
+    // The tolerance is not monotone in p: 0.5 fails p = 0 and 1.0000002
+    // fails every p >= 1, so the column falls back to 10^6.
+    assert(want.find(_._1 == "offGrid").map(_._2).contains(1000000L))
+  }
+
   test("fit runs two Spark jobs on a frame with three string columns") {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
