@@ -39,9 +39,21 @@ final class Engine(ph: PairwiseHist) {
     ph.hist2d.valuesIterator.flatMap { h =>
       Seq(
         (h.colI, h.colJ) -> new PairView(h.metaJ, h.counts, h.metaI.parents(ph.hist1d(h.colI).meta)),
-        (h.colJ, h.colI) -> new PairView(h.metaI, h.counts.transpose, h.metaJ.parents(ph.hist1d(h.colJ).meta))
+        (h.colJ, h.colI) -> new PairView(h.metaI, transpose(h.counts), h.metaJ.parents(ph.hist1d(h.colJ).meta))
       )
     }.toMap
+
+  /** `m` transposed with primitive loops (`ArrayOps.transpose` boxes every cell). */
+  private def transpose(m: Array[Array[Long]]): Array[Array[Long]] = {
+    val t = Array.ofDim[Long](if (m.isEmpty) 0 else m(0).length, m.length)
+    var i = 0
+    while (i < m.length) {
+      var j = 0
+      while (j < m(i).length) { t(j)(i) = m(i)(j); j += 1 }
+      i += 1
+    }
+    t
+  }
 
   def run(q: Query): Option[AqpResult] = {
     require(q.groupBy.isEmpty, "use runGroupBy for GROUP BY queries")

@@ -49,19 +49,6 @@ object Golomb {
     q * m + r
   }
 
-  /** Encode a sequence with a shared parameter; returns (m, payload bytes). */
-  def encode(values: Seq[Long]): (Int, Array[Byte]) = {
-    val m = chooseM(values)
-    val w = new BitWriter
-    values.foreach(encodeOne(w, _, m))
-    (m, w.toBytes)
-  }
-
-  def decode(data: Array[Byte], m: Int, count: Int): Seq[Long] = {
-    val rd = new BitReader(data)
-    (0 until count).map(_ => decodeOne(rd, m))
-  }
-
   /** Encoded bit length without materialising the bitstream. */
   def bitLength(values: Seq[Long], m: Int): Long = {
     val b = ceilLog2(m)

@@ -38,6 +38,15 @@ object GreedyGD {
 
   final case class Config(devBits: Array[Int], totalBits: Array[Int]) {
     def baseMask(c: Int): Long = if (devBits(c) >= 63) 0L else -1L << devBits(c)
+
+    /** Storage in bytes of `nRows` rows over `nBases` distinct bases:
+      * deduplicated base table + per-row deviations + per-row base IDs.
+      */
+    def storageBytes(nBases: Long, nRows: Long): Long = {
+      val baseBits = totalBits.zip(devBits).map { case (t, d) => math.max(0, t - d) }.sum
+      val idBits = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(math.max(1L, nBases - 1)))
+      nBases * ceilDiv(baseBits, 8) + nRows * (ceilDiv(devBits.sum, 8) + ceilDiv(idBits, 8))
+    }
   }
 
   final case class Compressed(
@@ -48,15 +57,8 @@ object GreedyGD {
       nRows: Long
   ) {
 
-    /** Estimated compressed size in bytes: deduplicated base table + per-row
-      * deviations + per-row base IDs.
-      */
-    def compressedBytes: Long = {
-      val baseBits = config.totalBits.zip(config.devBits).map { case (t, d) => math.max(0, t - d) }.sum
-      val devBitsSum = config.devBits.sum
-      val idBits = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(math.max(1L, nBases - 1)))
-      nBases * ceilDiv(baseBits, 8) + nRows * (ceilDiv(devBitsSum, 8) + ceilDiv(idBits, 8))
-    }
+    /** Estimated compressed size in bytes ([[Config.storageBytes]]). */
+    def compressedBytes: Long = config.storageBytes(nBases, nRows)
 
     /** Uncompressed fixed-width size the compression is measured against. */
     def originalBytes: Long = nRows * config.totalBits.map(ceilDiv(_, 8).toLong).sum
@@ -93,22 +95,17 @@ object GreedyGD {
       val mx = shifted.map(_(c)).max
       math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(math.max(1L, mx)))
     }
-    val devBits = new Array[Int](d)
 
-    def cost(dev: Array[Int]): Double = {
-      val masks = Array.tabulate(d)(c => if (dev(c) >= 63) 0L else -1L << dev(c))
+    def cost(dev: Array[Int]): Long = {
+      val config = Config(dev, totalBits)
       val seen = new java.util.HashSet[java.util.List[java.lang.Long]]()
       shifted.foreach { row =>
         val key = new java.util.ArrayList[java.lang.Long](d)
         var c = 0
-        while (c < d) { key.add(row(c) & masks(c)); c += 1 }
+        while (c < d) { key.add(row(c) & config.baseMask(c)); c += 1 }
         seen.add(key)
       }
-      val nBases = seen.size.toLong
-      val baseBits = totalBits.zip(dev).map { case (t, dv) => math.max(0, t - dv) }.sum
-      val idBits = math.max(1, 64 - java.lang.Long.numberOfLeadingZeros(math.max(1L, nBases - 1)))
-      nBases.toDouble * ceilDiv(baseBits, 8) +
-        shifted.length.toDouble * (ceilDiv(dev.sum, 8) + ceilDiv(idBits, 8))
+      config.storageBytes(seen.size, shifted.length)
     }
 
     // Grow the base from empty, as GreedyGD [8] does: start with every bit
@@ -117,9 +114,7 @@ object GreedyGD {
     // from the other end (shrinking a full base) gets stuck immediately on
     // data with several high-entropy columns: no single removal breaks row
     // distinctness, so no move ever looks profitable.
-    java.util.Arrays.fill(devBits, 0)
-    var c0 = 0
-    while (c0 < d) { devBits(c0) = totalBits(c0); c0 += 1 }
+    val devBits = totalBits.clone()
 
     var best = cost(devBits)
     var improved = true

@@ -89,54 +89,46 @@ object Preprocess {
     * numeric stats and null counts, and one for the frequency-ranked
     * dictionaries of all string columns (see [[dictionaries]]).
     *
-    * @throws IllegalArgumentException if a string column has more than
-    *   [[MaxDictSize]] distinct values
+    * @throws IllegalArgumentException if a column has an unsupported type,
+    *   a string column has more than [[MaxDictSize]] distinct values, or a
+    *   floating-point column holds NaN or an infinity
     */
   def fit(df: DataFrame): Array[ColumnSpec] = {
     val fields = df.schema.fields
-    // Numeric stats: for every column, nullCount; for fractional ones also
-    // the smallest power of ten making all values integral, and the min.
-    val aggs = fields.flatMap { f =>
-      val c = col(f.name)
-      val base = Seq(sum(when(c.isNull, 1L).otherwise(0L)).as(s"${f.name}__nulls"))
-      f.dataType match {
-        case DoubleType | FloatType | _: DecimalType =>
-          base ++ (0 to MaxDecimals).map { p =>
-            val scaled = c.cast(DoubleType) * math.pow(10, p)
-            max(abs(scaled - round(scaled))).as(s"${f.name}__frac$p")
-          } :+ min(c.cast(DoubleType)).as(s"${f.name}__min")
-        case ByteType | ShortType | IntegerType | LongType | BooleanType =>
-          base :+ min(numericAsLong(f).cast(DoubleType)).as(s"${f.name}__min")
-        case DateType =>
-          base :+ min(datediff(c, lit("1970-01-01").cast(DateType)).cast(DoubleType)).as(s"${f.name}__min")
-        case TimestampType =>
-          base :+ min(unix_timestamp(c).cast(DoubleType)).as(s"${f.name}__min")
-        case StringType => base
-        case other => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
+    // For every column its non-null count; for numeric ones the min, and for
+    // fractional ones the error of rounding x·10^p for each p. `rint` and
+    // `round` differ only at exact .5 ties, where both errors are 0.5.
+    val aggs = count(lit(1)).as("__rows") +: fields.flatMap { f =>
+      val nonNull = count(col(f.name)).as(s"${f.name}__count")
+      if (f.dataType == StringType) Seq(nonNull)
+      else {
+        val x = numericAsLong(f).cast(DoubleType)
+        val fracs = if (!isFractional(f.dataType)) Nil else (0 to MaxDecimals).map { p =>
+          val scaled = x * math.pow(10, p)
+          max(abs(scaled - rint(scaled))).as(s"${f.name}__frac$p")
+        }
+        (nonNull +: fracs) :+ min(x).as(s"${f.name}__min")
       }
     }
     val row = df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()(0)
     val dicts = dictionaries(df)
 
     fields.zipWithIndex.map { case (f, i) =>
-      val nulls = Option(row.getAs[Long](s"${f.name}__nulls")).getOrElse(0L)
-      f.dataType match {
-        case StringType =>
-          ColumnSpec(f.name, CategoricalCol(dicts.getOrElse(i, Array.empty)), nulls)
-        case DoubleType | FloatType | _: DecimalType =>
-          val p = (0 to MaxDecimals)
-            .find { p =>
-              val m = row.getAs[Any](s"${f.name}__frac$p")
-              m == null || math.abs(m.asInstanceOf[Double]) < 1e-6
-            }
-            .getOrElse(MaxDecimals)
+      def stat(s: String): Option[Double] = Option(row.getAs[Any](s"${f.name}__$s")).map(_.asInstanceOf[Double])
+      val kind = f.dataType match {
+        case StringType => CategoricalCol(dicts.getOrElse(i, Array.empty))
+        case t =>
+          val p = if (!isFractional(t)) 0 else {
+            // x − rint(x) is NaN exactly when x is NaN or infinite.
+            if (stat("frac0").exists(_.isNaN))
+              throw new IllegalArgumentException(
+                s"column ${f.name} holds NaN or infinite values; GD encoding needs finite numbers")
+            (0 to MaxDecimals).find(p => stat(s"frac$p").forall(_ < 1e-6)).getOrElse(MaxDecimals)
+          }
           val scale = math.pow(10, p).toLong
-          val mn = Option(row.getAs[Any](s"${f.name}__min")).map(_.asInstanceOf[Double]).getOrElse(0.0)
-          ColumnSpec(f.name, NumericCol(scale, math.rint(mn * scale).toLong), nulls)
-        case _ =>
-          val mn = Option(row.getAs[Any](s"${f.name}__min")).map(_.asInstanceOf[Double]).getOrElse(0.0)
-          ColumnSpec(f.name, NumericCol(1L, math.rint(mn).toLong), nulls)
+          NumericCol(scale, math.rint(stat("min").getOrElse(0.0) * scale).toLong)
       }
+      ColumnSpec(f.name, kind, row.getAs[Long]("__rows") - row.getAs[Long](s"${f.name}__count"))
     }
   }
 
@@ -194,13 +186,21 @@ object Preprocess {
     df.select(cols.toIndexedSeq: _*)
   }
 
-  /** Numeric-ish column as a raw Long-compatible expression (dates become
-    * epoch days, timestamps epoch seconds, booleans 0/1).
+  private def isFractional(t: DataType): Boolean = t match {
+    case DoubleType | FloatType | _: DecimalType => true
+    case _                                       => false
+  }
+
+  /** A non-string column as a numeric expression: dates become epoch days,
+    * timestamps epoch seconds, booleans 0/1, and numbers stay as they are.
+    *
+    * @throws IllegalArgumentException for any other type
     */
   private def numericAsLong(f: StructField): Column = f.dataType match {
-    case DateType      => datediff(col(f.name), lit("1970-01-01").cast(DateType))
-    case TimestampType => unix_timestamp(col(f.name))
-    case BooleanType   => col(f.name).cast(IntegerType)
-    case _             => col(f.name)
+    case DateType       => datediff(col(f.name), lit("1970-01-01").cast(DateType))
+    case TimestampType  => unix_timestamp(col(f.name))
+    case BooleanType    => col(f.name).cast(IntegerType)
+    case _: NumericType => col(f.name)
+    case other          => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
   }
 }

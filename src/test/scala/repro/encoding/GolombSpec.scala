@@ -6,6 +6,14 @@ import scala.util.Random
 
 class GolombSpec extends AnyFunSuite {
 
+  /** `vals` coded with one shared parameter: (m, payload bytes). */
+  private def encode(vals: Seq[Long]): (Int, Array[Byte]) = {
+    val m = Golomb.chooseM(vals)
+    val w = new BitWriter
+    vals.foreach(Golomb.encodeOne(w, _, m))
+    (m, w.toBytes)
+  }
+
   test("BitWriter/BitReader roundtrip single bits") {
     val w = new BitWriter
     val bits = Seq(true, false, true, true, false, false, false, true, true, false, true)
@@ -55,16 +63,17 @@ class GolombSpec extends AnyFunSuite {
   test("Golomb roundtrips random geometric-ish data") {
     val rng = new Random(7)
     val vals = Seq.fill(5000)(math.abs(rng.nextGaussian() * 20).toLong)
-    val (m, bytes) = Golomb.encode(vals)
+    val (m, bytes) = encode(vals)
     assert(m >= 1)
-    assert(Golomb.decode(bytes, m, vals.length) == vals)
+    val rd = new BitReader(bytes)
+    assert(vals.map(_ => Golomb.decodeOne(rd, m)) == vals)
   }
 
   test("Golomb beats fixed-width on geometric data") {
     val rng = new Random(3)
     // Geometric with small mean: mostly tiny deltas, occasional big ones.
     val vals = Seq.fill(10000)((math.log(rng.nextDouble() + 1e-12) / math.log(0.6)).toLong)
-    val (m, bytes) = Golomb.encode(vals)
+    val (m, bytes) = encode(vals)
     val maxV = vals.max
     val fixedBits = vals.length.toLong * (64 - java.lang.Long.numberOfLeadingZeros(math.max(1, maxV)))
     assert(bytes.length.toLong * 8 < fixedBits, s"golomb=${bytes.length * 8} bits fixed=$fixedBits")

@@ -260,6 +260,15 @@ class PreprocessSpec extends SparkSpec {
     assert(want.find(_._1 == "offGrid").map(_._2).contains(1000000L))
   }
 
+  test("a floating-point column holding NaN or an infinity is rejected with its name") {
+    for ((t, vs) <- Seq(DoubleType -> Seq(1.5, Double.NaN), DoubleType -> Seq(1.5, Double.PositiveInfinity),
+                        DoubleType -> Seq(Double.NegativeInfinity, 1.5), FloatType -> Seq(1.5f, Float.NaN))) {
+      val frame = columns(("ok", DoubleType, Seq(1.5, 2.0)), ("bad", t, vs))
+      val e = intercept[IllegalArgumentException](Preprocess.fit(frame))
+      assert(e.getMessage.contains("column bad "), s"$t $vs: ${e.getMessage}")
+    }
+  }
+
   test("fit runs two Spark jobs on a frame with three string columns") {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
