@@ -1,9 +1,8 @@
 package repro.bench
 
-import repro.SparkSpec
+import repro.{Pipeline, SparkSpec}
 import repro.data.Datasets
 import repro.encoding.Codec
-import repro.gd.{GreedyGD, Preprocess}
 import repro.workload.Runner
 
 /** Table 1 (PairwiseHist row) + Fig 11: measured accuracy / latency /
@@ -53,13 +52,9 @@ class SummaryBench extends SparkSpec {
 
   test("Fig 11(b): total storage with GD compression") {
     val df = Datasets.byName("power")(spark, 0.05).cache()
-    val n = df.count()
-    val pre = Preprocess.run(df)
-    val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
-    val seeds = GreedyGD.seeds(compressed, pre.specs)
-    val sample = repro.core.Builder.collectSample(pre.df, n, nS = 20000, seed = 42)
-    val ph = repro.core.Builder.build(sample, pre.specs, n, m = 200, alpha = 0.001, initialEdges = seeds)
-    val synopsis = Codec.sizeBytes(ph)
+    val built = Pipeline.build(df, nS = 20000, seed = 42, Pipeline.Local)
+    val compressed = built.compressed
+    val synopsis = Codec.sizeBytes(built.ph)
 
     val raw = compressed.originalBytes
     val gd = compressed.compressedBytes

@@ -176,7 +176,7 @@ object GreedyGD {
   }
 
   /** End-to-end: choose a config from a sample of `df`, then compress. */
-  def run(df: DataFrame, sampleRows: Int = 20000, seed: Long = 7): Compressed = {
+  def run(df: DataFrame, sampleRows: Int, seed: Long = 7): Compressed = {
     val d = df.columns.length
     val nRows = df.count()
     val local = repro.util.Sampling

@@ -4,8 +4,8 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.AggFn
 import repro.data.{Datasets, IdeBenchLite}
 
-/** Reusable experiment drivers shared by the bench suites and the
-  * spark-submit jobs (one per table of the paper's evaluation).
+/** Reusable experiment drivers for the bench suites (one per table of the
+  * paper's evaluation).
   */
 object Experiments {
 
@@ -26,8 +26,7 @@ object Experiments {
       aggs: Seq[AggFn],
       maxPreds: Int,
       minSelectivity: Double,
-      seed: Long,
-      gdSeeds: Boolean = true
+      seed: Long
   ): RunResult = {
     df.cache()
     val rows = df.count()
@@ -37,7 +36,7 @@ object Experiments {
       val queries = QueryGen.generate(
         prof, gt, rows, nQueries, aggs, maxPreds, minSelectivity, seed, orShare = 0.2
       )
-      val built = Runner.buildAll(df, nS, seed = seed, gdSeeds = gdSeeds, dbestWorkload = Some(queries))
+      val built = Runner.buildAll(df, nS, seed = seed, dbestWorkload = Some(queries))
       val evals = Runner.evaluate(built, queries, gt)
       RunResult(name, rows, built, evals)
     } finally {

@@ -1,11 +1,11 @@
 package repro.workload
 
 import org.apache.spark.sql.DataFrame
+import repro.Pipeline
 import repro.baselines.dbest.DbEst
 import repro.baselines.spn.Spn
 import repro.core._
 import repro.encoding.Codec
-import repro.gd.{GreedyGD, Preprocess}
 
 /** End-to-end harness: build PairwiseHist + both baselines on a dataset,
   * evaluate query sets against DuckDB ground truth, and collect the error /
@@ -27,41 +27,24 @@ object Runner {
       sizeDbest: Long
   )
 
-  /** Build all systems with the paper's defaults: M = 1% of Ns, alpha =
-    * 0.001. `gdSeeds = true` seeds PairwiseHist initial edges with GreedyGD
-    * bases (the paper's integrated framework).
+  /** PairwiseHist from [[repro.Pipeline]]'s local builder, and both
+    * baselines on the same GD-domain sample.
     */
   def buildAll(
       df: DataFrame,
       nS: Int,
       seed: Long = 42,
-      gdSeeds: Boolean = false,
       dbestWorkload: Option[Seq[Query]] = None
   ): Built = {
-    val n = df.count()
-    val pre = Preprocess.run(df)
-    val dbestTemplates = dbestWorkload.map(dbestTemplatesFor(_, pre.specs))
-    val m = math.max(2L, (nS * 0.01).toLong)
-    val alpha = 0.001
-
-    val sample = Builder.collectSample(pre.df, n, nS, seed)
-
-    val seeds: Map[Int, Array[Double]] =
-      if (!gdSeeds) Map.empty
-      else {
-        // Bit selection is a statistics problem: 5k rows suffice and keep the
-        // greedy search cheap on wide schemas.
-        val compressed = GreedyGD.run(pre.df, sampleRows = math.min(nS, 5000), seed = seed)
-        GreedyGD.seeds(compressed, pre.specs)
-      }
+    val p = Pipeline.build(df, nS, seed, Pipeline.Local)
+    val (ph, sample) = (p.ph, p.sample.get)
+    val dbestTemplates = dbestWorkload.map(dbestTemplatesFor(_, p.specs))
 
     val t0 = System.nanoTime()
-    val ph = Builder.build(sample, pre.specs, n, m, alpha, seeds)
+    val spn = Spn.learn(sample, p.specs, ph.n)
     val t1 = System.nanoTime()
-    val spn = Spn.learn(sample, pre.specs, n)
+    val dbest = DbEst.fit(sample, p.specs, ph.n, dbestTemplates)
     val t2 = System.nanoTime()
-    val dbest = DbEst.fit(sample, pre.specs, n, dbestTemplates)
-    val t3 = System.nanoTime()
 
     // When a workload restriction was applied, report the extrapolated
     // full-template size (the paper counts all models needed to match
@@ -70,7 +53,7 @@ object Runner {
 
     Built(
       ph, new Engine(ph), spn, dbest,
-      (t1 - t0) / 1e6, (t2 - t1) / 1e6, (t3 - t2) / 1e6,
+      p.buildMs, (t1 - t0) / 1e6, (t2 - t1) / 1e6,
       Codec.sizeBytes(ph), spn.sizeBytes, dbestSize
     )
   }

@@ -4,7 +4,6 @@ import org.apache.spark.sql.functions._
 import repro.core._
 import repro.data.Datasets
 import repro.encoding.Codec
-import repro.gd.{GreedyGD, Preprocess}
 import repro.workload.{GroundTruth, QueryGen, Runner}
 
 /** End-to-end: GD compression -> PairwiseHist on the bases -> codec
@@ -14,24 +13,15 @@ import repro.workload.{GroundTruth, QueryGen, Runner}
 class IntegrationSpec extends SparkSpec {
 
   private lazy val df = Datasets.byName("temp")(spark, 0.002).cache()
-  private lazy val n = df.count()
-  private lazy val pre = Preprocess.run(df)
   private lazy val gt = GroundTruth.forDataFrame(df, "temp_it")
-
-  /** A sample of `nS` rows of the GD frame, built locally. */
-  private def buildSample(nS: Int, m: Long, seeds: Map[Int, Array[Double]] = Map.empty): PairwiseHist =
-    Builder.build(Builder.collectSample(pre.df, n, nS, seed = 42), pre.specs, n, m, alpha = 0.001, seeds)
+  private lazy val built = Pipeline.build(df, nS = 8000, seed = 42, Pipeline.Local)
 
   test("framework end-to-end with GD base seeding") {
-    val compressed = GreedyGD.run(pre.df, sampleRows = 5000)
-    assert(compressed.ratio > 0.5) // compression may or may not win, but must be sane
-
-    val seeds = GreedyGD.seeds(compressed, pre.specs)
-    val ph = buildSample(nS = 8000, m = 80, seeds)
+    assert(built.compressed.ratio > 0.5) // compression may or may not win, but must be sane
 
     // Codec round-trip, then query through the DECODED synopsis: storage is
     // part of the pipeline, not an afterthought.
-    val decoded = Codec.decode(Codec.encode(ph))
+    val decoded = Codec.decode(Codec.encode(built.ph))
     val engine = new Engine(decoded)
 
     val queries = Seq(
@@ -49,8 +39,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("sampled synopsis still answers within tolerance (rho < 1)") {
-    val ph = buildSample(nS = 2000, m = 20)
-    val engine = new Engine(ph)
+    val engine = new Engine(Pipeline.build(df, nS = 2000, seed = 42, Pipeline.Local).ph)
     val q = Query(AggFn.Count, "temperature", Some(Cond("device", Op.Eq, "sensor001")))
     val truth = gt.answer(q).get
     val r = engine.run(q).get
@@ -59,8 +48,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("GROUP BY end-to-end vs ground truth") {
-    val ph = buildSample(nS = 8000, m = 80)
-    val engine = new Engine(ph)
+    val engine = new Engine(built.ph)
     val q = Query(AggFn.Avg, "temperature", Some(Cond("humidity", Op.Ge, 45.0)), groupBy = Some("device"))
     val est = engine.runGroupBy(q).toMap
     val truth = gt.answerGroups(q)
@@ -75,9 +63,8 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("synopsis is orders of magnitude smaller than the data") {
-    val ph = buildSample(nS = 8000, m = 80)
-    val synopsisBytes = Codec.sizeBytes(ph)
-    val dataBytes = n * df.columns.length * 8L // fixed-width estimate
+    val synopsisBytes = Codec.sizeBytes(built.ph)
+    val dataBytes = built.ph.n * df.columns.length * 8L // fixed-width estimate
     assert(synopsisBytes * 20 < dataBytes, s"synopsis=$synopsisBytes data=$dataBytes")
   }
 }
