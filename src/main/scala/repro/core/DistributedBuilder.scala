@@ -2,6 +2,7 @@ package repro.core
 
 import org.apache.spark.sql.DataFrame
 import repro.gd.ColumnSpec
+import repro.util.ColumnName.quote
 
 /** Distributed PairwiseHist construction (the `distributed_dataflow` path).
   *
@@ -35,7 +36,7 @@ object DistributedBuilder {
     */
   private def distinctRows(df: DataFrame): (Array[Array[Double]], Array[Long]) = {
     val d = df.columns.length
-    val keys = df.columns.toIndexedSeq.map(c => df.col("`" + c.replace("`", "``") + "`"))
+    val keys = df.columns.toIndexedSeq.map(c => df.col(quote(c)))
     val rows = df.groupBy(keys: _*).count().collect()
     val values = Array.fill(d)(new Array[Double](rows.length))
     val wts = new Array[Long](rows.length)

@@ -6,6 +6,7 @@ import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
+import repro.util.ColumnName.quote
 
 /** Generalized Deduplication with greedy base-bit selection (GreedyGD, [8]).
   *
@@ -78,7 +79,7 @@ object GreedyGD {
       val joined = deviations.alias("d").join(bases.alias("b"), "gd_base_id")
       val cols = columns.map { c =>
         // shifted-by-one null encoding: 0 means null
-        val v = col(s"b.$c") + col(s"d.$c")
+        val v = col(s"b.${quote(c)}") + col(s"d.${quote(c)}")
         when(v === 0L, lit(null).cast(LongType)).otherwise(v - 1L).as(c)
       }
       joined.select(cols.toIndexedSeq: _*)
@@ -150,18 +151,18 @@ object GreedyGD {
     */
   def compress(df: DataFrame, config: Config, nRows: Long): Compressed = {
     val cols = df.columns
-    val shifted = df.select(cols.map(c => coalesce(col(c) + 1L, lit(0L)).as(c)).toIndexedSeq: _*)
+    val shifted = df.select(cols.map(c => coalesce(col(quote(c)) + 1L, lit(0L)).as(c)).toIndexedSeq: _*)
 
     // Project base (masked MSBs) and deviation (low bits) side by side.
     val projected = shifted.select(
       (cols.zipWithIndex.map { case (c, i) =>
-        bitwiseAnd(col(c), config.baseMask(i)).as(s"__b_$c")
+        bitwiseAnd(col(quote(c)), config.baseMask(i)).as(s"__b_$c")
       } ++ cols.zipWithIndex.map { case (c, i) =>
-        bitwiseAnd(col(c), ~config.baseMask(i)).as(s"__d_$c")
+        bitwiseAnd(col(quote(c)), ~config.baseMask(i)).as(s"__d_$c")
       }).toIndexedSeq: _*
     )
     val bases = projected
-      .select(cols.map(c => col(s"__b_$c").as(c)).toIndexedSeq: _*)
+      .select(cols.map(c => col(quote(s"__b_$c")).as(c)).toIndexedSeq: _*)
       .distinct()
       .withColumn("gd_base_id", monotonically_increasing_id())
       .cache()
@@ -169,9 +170,9 @@ object GreedyGD {
     val deviations = projected
       .join(
         bases,
-        cols.map(c => projected(s"__b_$c") === bases(c)).reduce(_ && _)
+        cols.map(c => projected(quote(s"__b_$c")) === bases(quote(c))).reduce(_ && _)
       )
-      .select((Seq(col("gd_base_id")) ++ cols.map(c => col(s"__d_$c").as(c))).toIndexedSeq: _*)
+      .select((Seq(col("gd_base_id")) ++ cols.map(c => col(quote(s"__d_$c")).as(c))).toIndexedSeq: _*)
     Compressed(bases, deviations, config, nBases, nRows)
   }
 
@@ -209,7 +210,7 @@ object GreedyGD {
     val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
     val picked = bases
       .select(explode(array(cols.zipWithIndex.map { case (c, i) =>
-        struct(lit(i).as("idx"), col(c).as("v"))
+        struct(lit(i).as("idx"), col(quote(c)).as("v"))
       }.toIndexedSeq: _*)).as("e"))
       .select("e.idx", "e.v")
       .filter(col("v") > 0L) // 0 is the shifted null

@@ -4,6 +4,7 @@ import org.apache.spark.sql.{Column, DataFrame}
 import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import repro.util.ColumnName.quote
 
 /** How a column maps between its original domain and the GD integer domain. */
 sealed trait ColKind
@@ -77,6 +78,14 @@ object Preprocess {
   /** Max decimal places probed during float-to-int conversion. */
   private val MaxDecimals = 6
 
+  /** Largest GD value `fit` accepts, computed in doubles as `apply` does.
+    * GreedyGD adds 1 to every value (0 is its null code), and the sum must
+    * fit in a Long. Doubles between 2^62 and 2^63 step by 1024, so one step
+    * below the largest double under 2^63 leaves room for that +1 and for
+    * `apply`'s HALF_UP `round` where `fit` uses `rint`.
+    */
+  val MaxGd: Double = math.pow(2, 63) - 2048
+
   /** Most distinct values a string column may have; `fit` rejects more. */
   val MaxDictSize = 100000
 
@@ -90,16 +99,17 @@ object Preprocess {
     * dictionaries of all string columns (see [[dictionaries]]).
     *
     * @throws IllegalArgumentException if a column has an unsupported type,
-    *   a string column has more than [[MaxDictSize]] distinct values, or a
-    *   floating-point column holds NaN or an infinity
+    *   a string column has more than [[MaxDictSize]] distinct values, a
+    *   floating-point column holds NaN or an infinity, or a numeric column's
+    *   GD maximum exceeds [[MaxGd]]
     */
   def fit(df: DataFrame): Array[ColumnSpec] = {
     val fields = df.schema.fields
-    // For every column its non-null count; for numeric ones the min, and for
-    // fractional ones the error of rounding x·10^p for each p. `rint` and
-    // `round` differ only at exact .5 ties, where both errors are 0.5.
+    // For every column its non-null count; for numeric ones the min and max,
+    // and for fractional ones the error of rounding x·10^p for each p. `rint`
+    // and `round` differ only at exact .5 ties, where both errors are 0.5.
     val aggs = count(lit(1)).as("__rows") +: fields.flatMap { f =>
-      val nonNull = count(col(f.name)).as(s"${f.name}__count")
+      val nonNull = count(col(quote(f.name))).as(s"${f.name}__count")
       if (f.dataType == StringType) Seq(nonNull)
       else {
         val x = numericAsLong(f).cast(DoubleType)
@@ -107,7 +117,7 @@ object Preprocess {
           val scaled = x * math.pow(10, p)
           max(abs(scaled - rint(scaled))).as(s"${f.name}__frac$p")
         }
-        (nonNull +: fracs) :+ min(x).as(s"${f.name}__min")
+        (nonNull +: fracs) :+ min(x).as(s"${f.name}__min") :+ max(x).as(s"${f.name}__max")
       }
     }
     val row = df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()(0)
@@ -126,7 +136,12 @@ object Preprocess {
             (0 to MaxDecimals).find(p => stat(s"frac$p").forall(_ < 1e-6)).getOrElse(MaxDecimals)
           }
           val scale = math.pow(10, p).toLong
-          NumericCol(scale, math.rint(stat("min").getOrElse(0.0) * scale).toLong)
+          val minScaled = math.rint(stat("min").getOrElse(0.0) * scale)
+          val gdMax = math.rint(stat("max").getOrElse(0.0) * scale) - minScaled
+          if (!(gdMax <= MaxGd))
+            throw new IllegalArgumentException(
+              s"column ${f.name} spans $gdMax in the GD domain; GreedyGD needs its maximum plus one in a Long")
+          NumericCol(scale, minScaled.toLong)
       }
       ColumnSpec(f.name, kind, row.getAs[Long]("__rows") - row.getAs[Long](s"${f.name}__count"))
     }
@@ -140,7 +155,7 @@ object Preprocess {
   private def dictionaries(df: DataFrame): Map[Int, Array[String]] = {
     val fields = df.schema.fields
     val pairs = fields.indices.collect {
-      case i if fields(i).dataType == StringType => struct(lit(i).as("idx"), col(fields(i).name).as("value"))
+      case i if fields(i).dataType == StringType => struct(lit(i).as("idx"), col(quote(fields(i).name)).as("value"))
     }
     if (pairs.isEmpty) Map.empty
     else {
@@ -180,7 +195,7 @@ object Preprocess {
         case CategoricalCol(dict) =>
           val lookup = dict.zipWithIndex.toMap
           val fn = udf((s: String) => if (s == null) None else lookup.get(s).map(_.toLong))
-          fn(col(f.name)).as(f.name)
+          fn(col(quote(f.name))).as(f.name)
       }
     }
     df.select(cols.toIndexedSeq: _*)
@@ -196,11 +211,14 @@ object Preprocess {
     *
     * @throws IllegalArgumentException for any other type
     */
-  private def numericAsLong(f: StructField): Column = f.dataType match {
-    case DateType       => datediff(col(f.name), lit("1970-01-01").cast(DateType))
-    case TimestampType  => unix_timestamp(col(f.name))
-    case BooleanType    => col(f.name).cast(IntegerType)
-    case _: NumericType => col(f.name)
-    case other          => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
+  private def numericAsLong(f: StructField): Column = {
+    val c = col(quote(f.name))
+    f.dataType match {
+      case DateType       => datediff(c, lit("1970-01-01").cast(DateType))
+      case TimestampType  => unix_timestamp(c)
+      case BooleanType    => c.cast(IntegerType)
+      case _: NumericType => c
+      case other          => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
+    }
   }
 }

@@ -1,6 +1,8 @@
 package repro
 
-import repro.core.{Builder, DistributedBuilder, PairwiseHist, SynopsisAssertions}
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.functions.col
+import repro.core._
 import repro.data.Datasets
 import repro.encoding.Codec
 import repro.gd.{GreedyGD, Preprocess}
@@ -36,4 +38,16 @@ class PipelineSpec extends SparkSpec {
         assert(java.util.Arrays.equals(Codec.encode(got), Codec.encode(want)), s"$mode bytes")
       }
     }
+
+  test("columns named with a dot or a backtick go through the whole pipeline") {
+    val frame = raw.select(col("temperature").as("a.b"), col("device").as("x`y"))
+    def rows(df: DataFrame): Seq[String] = df.collect().map(_.mkString("|")).toSeq.sorted
+    for (mode <- Seq(Pipeline.Local, Pipeline.Distributed)) {
+      val b = Pipeline.build(frame, 2000, 3L, mode)
+      assert(b.specs.map(_.name).toSeq == Seq("a.b", "x`y"), s"$mode")
+      assert(rows(b.compressed.decompress(b.gdDf.columns)) == rows(b.gdDf), s"$mode decompress")
+      val q = Query(AggFn.Count, "a.b", Some(Cond("x`y", Op.Eq, "sensor001")))
+      assert(new Engine(b.ph).run(q).exists(_.estimate > 0), s"$mode query")
+    }
+  }
 }

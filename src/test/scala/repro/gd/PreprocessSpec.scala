@@ -269,6 +269,17 @@ class PreprocessSpec extends SparkSpec {
     }
   }
 
+  test("a numeric column whose GD range does not fit in a Long is rejected with its name") {
+    for ((t, vs) <- Seq(LongType -> Seq(Long.MaxValue, Long.MinValue + 1), DoubleType -> Seq(1e19, -1e19))) {
+      val frame = columns(("ok", LongType, Seq(1L, 2L)), ("big", t, vs))
+      val e = intercept[IllegalArgumentException](Preprocess.fit(frame))
+      assert(e.getMessage.contains("column big "), s"$t $vs: ${e.getMessage}")
+    }
+    // A range of 2^62 fits, and so does GreedyGD's +1 on top of it.
+    val wide = Preprocess.run(columns(("wide", LongType, Seq(0L, 1L << 62)))).df
+    assert(wide.agg(max(col("wide") + 1L)).head().getLong(0) == (1L << 62) + 1)
+  }
+
   test("fit runs two Spark jobs on a frame with three string columns") {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
