@@ -12,16 +12,16 @@ import repro.gd.{ColumnSpec, GreedyGD, Preprocess}
 object Pipeline {
 
   /** Significance level of the refinement tests, the paper's default. */
-  val Alpha = 0.001
+  private val Alpha = 0.001
 
   /** Most rows GreedyGD picks its bit split on. Bit selection is a
     * statistics problem: 5k rows suffice and keep the greedy search cheap on
     * wide schemas.
     */
-  val GdSampleRows = 5000
+  private val GdSampleRows = 5000
 
   /** Algorithm 1's M: 1% of `Ns`, at least 2. */
-  def m(nS: Int): Long = math.max(2L, nS / 100L)
+  private def m(nS: Int): Long = math.max(2L, nS / 100L)
 
   /** How the sample reaches Algorithm 1. */
   sealed trait Mode
