@@ -9,7 +9,9 @@ import repro.gd.{GreedyGD, Preprocess}
 
 class PipelineSpec extends SparkSpec {
 
-  private lazy val raw = Datasets.byName("temp")(spark, 0.002).cache()
+  // Nulls, strings and doubles; on this frame the GreedyGD seed changes the
+  // bases, so a wrong GreedyGD seed shows in the synopsis.
+  private lazy val raw = Datasets.byName("power")(spark, 0.01).cache()
 
   /** The chain as the call sites wrote it out by hand before [[Pipeline]]
     * existed, kept as the reference: the local and the distributed synopsis.
@@ -40,13 +42,13 @@ class PipelineSpec extends SparkSpec {
     }
 
   test("columns named with a dot or a backtick go through the whole pipeline") {
-    val frame = raw.select(col("temperature").as("a.b"), col("device").as("x`y"))
+    val frame = raw.select(col("voltage").as("a.b"), col("weekday").as("x`y"))
     def rows(df: DataFrame): Seq[String] = df.collect().map(_.mkString("|")).toSeq.sorted
     for (mode <- Seq(Pipeline.Local, Pipeline.Distributed)) {
       val b = Pipeline.build(frame, 2000, 3L, mode)
       assert(b.specs.map(_.name).toSeq == Seq("a.b", "x`y"), s"$mode")
       assert(rows(b.compressed.decompress(b.gdDf.columns)) == rows(b.gdDf), s"$mode decompress")
-      val q = Query(AggFn.Count, "a.b", Some(Cond("x`y", Op.Eq, "sensor001")))
+      val q = Query(AggFn.Count, "a.b", Some(Cond("x`y", Op.Eq, "day1")))
       assert(new Engine(b.ph).run(q).exists(_.estimate > 0), s"$mode query")
     }
   }
