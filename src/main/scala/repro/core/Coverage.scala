@@ -33,11 +33,18 @@ final case class IntervalSet(ivs: List[(Double, Double)]) {
   def contains(x: Double): Boolean = ivs.exists { case (a, b) => x >= a && x <= b }
 
   /** Total overlap measure with [lo, hi] counting integer points. */
-  def overlapPoints(lo: Double, hi: Double): Double =
-    ivs.map { case (a, b) =>
-      val l = math.max(a, lo); val h = math.min(b, hi)
-      if (l <= h) h - l + 1 else 0.0
-    }.sum
+  def overlapPoints(lo: Double, hi: Double): Double = {
+    // Summed left to right in a loop: this runs once per bin per query.
+    var s = 0.0
+    var rest = ivs
+    while (rest.nonEmpty) {
+      val iv = rest.head
+      val l = math.max(iv._1, lo); val h = math.min(iv._2, hi)
+      if (l <= h) s += h - l + 1
+      rest = rest.tail
+    }
+    s
+  }
 }
 
 object IntervalSet {
@@ -122,9 +129,14 @@ object Coverage {
     while (t < k) {
       val b = binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t))
       est(t) = b
-      val (bl, bh) = Theorems.coverageBounds(b, meta.counts(t), meta.unique(t), m, alpha)
-      lo(t) = bl
-      hi(t) = bh
+      // An exact bin is its own bound (what coverageBounds returns for it).
+      if (b == 0.0) { lo(t) = 0.0; hi(t) = 0.0 }
+      else if (b == 1.0) { lo(t) = 1.0; hi(t) = 1.0 }
+      else {
+        val (bl, bh) = Theorems.coverageBounds(b, meta.counts(t), meta.unique(t), m, alpha)
+        lo(t) = bl
+        hi(t) = bh
+      }
       t += 1
     }
     Vec(est, lo, hi)
