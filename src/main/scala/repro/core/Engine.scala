@@ -27,33 +27,24 @@ final class Engine(ph: PairwiseHist) {
     Array.tabulate(ph.d)(i => ph.hist1d(i).meta.centreBounds(ph.m, ph.alpha))
 
   /** A pair histogram seen from its aggregation column: `pred` is the
-    * predicate dimension, `counts` has one row per aggregation-dimension
-    * bin, and `parent` maps each of those bins to its 1-d bin.
+    * predicate dimension, `cum` has one row per aggregation-dimension bin
+    * holding that row's cumulative counts (`cum(ta)(tp)` is the sum of the
+    * row's first `tp` cells, so a cell is `cum(ta)(tp + 1) - cum(ta)(tp)`),
+    * and `parent` maps each of those bins to its 1-d bin.
     */
-  private final class PairView(val pred: DimMeta, val counts: Array[Array[Long]], val parent: Array[Int])
+  private final class PairView(val pred: DimMeta, val cum: Array[Array[Long]], val parent: Array[Int])
 
-  // One view per (aggregation column, predicate column): the stored matrix
-  // for column I, one transposed copy for column J. Built once, so the
-  // engine holds no mutable state and can be shared across threads.
+  // One view per (aggregation column, predicate column): row prefix sums of
+  // the stored matrix for column I, column prefix sums of it for column J.
+  // Built once, so the engine holds no mutable state and can be shared
+  // across threads.
   private val views: Map[(Int, Int), PairView] =
     ph.hist2d.valuesIterator.flatMap { h =>
       Seq(
-        (h.colI, h.colJ) -> new PairView(h.metaJ, h.counts, h.metaI.parents(ph.hist1d(h.colI).meta)),
-        (h.colJ, h.colI) -> new PairView(h.metaI, transpose(h.counts), h.metaJ.parents(ph.hist1d(h.colJ).meta))
+        (h.colI, h.colJ) -> new PairView(h.metaJ, Engine.rowPrefixSums(h.counts, h.metaJ.k), h.metaI.parents(ph.hist1d(h.colI).meta)),
+        (h.colJ, h.colI) -> new PairView(h.metaI, Engine.columnPrefixSums(h.counts, h.metaJ.k), h.metaJ.parents(ph.hist1d(h.colJ).meta))
       )
     }.toMap
-
-  /** `m` transposed with primitive loops (`ArrayOps.transpose` boxes every cell). */
-  private def transpose(m: Array[Array[Long]]): Array[Array[Long]] = {
-    val t = Array.ofDim[Long](if (m.isEmpty) 0 else m(0).length, m.length)
-    var i = 0
-    while (i < m.length) {
-      var j = 0
-      while (j < m(i).length) { t(j)(i) = m(i)(j); j += 1 }
-      i += 1
-    }
-    t
-  }
 
   def run(q: Query): Option[AqpResult] = {
     require(q.groupBy.isEmpty, "use runGroupBy for GROUP BY queries")
@@ -141,30 +132,10 @@ final class Engine(ph: PairwiseHist) {
     else {
       val view = views.getOrElse((i, j), throw new IllegalStateException(s"missing pair histogram ($i,$j)"))
       // nu = H^(ij) beta over the pair's refined aggregation bins, each
-      // summed onto its parent 1-d bin, then divided by the 1-d counts. Only
-      // predicate bins with beta > 0 are visited, in ascending order, so
-      // each cell keeps its summation order.
+      // summed onto its parent 1-d bin, then divided by the 1-d counts.
       def toProb(beta: Array[Double]): Array[Double] = {
-        val nz = new Array[Int](beta.length)
-        var nnz = 0
-        var tp = 0
-        while (tp < beta.length) {
-          if (beta(tp) > 0) { nz(nnz) = tp; nnz += 1 }
-          tp += 1
-        }
         val p = new Array[Double](meta1.k)
-        var ta = 0
-        while (ta < view.counts.length) {
-          val row = view.counts(ta)
-          var nu = 0.0
-          var q = 0
-          while (q < nnz) {
-            nu += row(nz(q)) * beta(nz(q))
-            q += 1
-          }
-          p(view.parent(ta)) += nu
-          ta += 1
-        }
+        Engine.addPairProducts(view.cum, view.parent, beta, p)
         var t = 0
         while (t < p.length) {
           val h = meta1.counts(t)
@@ -269,14 +240,18 @@ final class Engine(ph: PairwiseHist) {
         val avg = dot(w, c) / nw
         val est = dot(w, mult(c, c)) / nw - avg * avg
         // Eqs 38-39: per-bin representative points for the bounds.
-        val xiLo = Array.tabulate(meta.k) { t =>
-          if (meta.vMax(t) < avg) meta.vMax(t)
-          else if (meta.vMin(t) > avg) meta.vMin(t)
-          else avg
-        }
-        val xiHi = Array.tabulate(meta.k) { t =>
-          if (math.abs(avg - meta.vMin(t)) > math.abs(meta.vMax(t) - avg)) meta.vMin(t)
-          else meta.vMax(t)
+        val xiLo = new Array[Double](meta.k)
+        val xiHi = new Array[Double](meta.k)
+        var t = 0
+        while (t < meta.k) {
+          xiLo(t) =
+            if (meta.vMax(t) < avg) meta.vMax(t)
+            else if (meta.vMin(t) > avg) meta.vMin(t)
+            else avg
+          xiHi(t) =
+            if (math.abs(avg - meta.vMin(t)) > math.abs(meta.vMax(t) - avg)) meta.vMin(t)
+            else meta.vMax(t)
+          t += 1
         }
         def varWith(wc: Array[Double], xi: Array[Double]): Double = {
           val n1 = norm1(wc)
@@ -351,8 +326,12 @@ final class Engine(ph: PairwiseHist) {
     w.length - 1
   }
 
-  private def mult(x: Array[Double], y: Array[Double]): Array[Double] =
-    Array.tabulate(x.length)(t => x(t) * y(t))
+  private def mult(x: Array[Double], y: Array[Double]): Array[Double] = {
+    val r = new Array[Double](x.length)
+    var t = 0
+    while (t < r.length) { r(t) = x(t) * y(t); t += 1 }
+    r
+  }
 
   private def dot(a: Array[Double], b: Array[Double]): Double = {
     var s = 0.0; var t = 0
@@ -364,5 +343,90 @@ final class Engine(ph: PairwiseHist) {
     var s = 0.0; var t = 0
     while (t < a.length) { s += a(t); t += 1 }
     s
+  }
+}
+
+private[core] object Engine {
+
+  /** Cumulative counts of each row of `m` (`cols` columns): row `ta` of the
+    * result has `cols + 1` entries, entry `tp` the sum of `m(ta)(0 until tp)`.
+    */
+  def rowPrefixSums(m: Array[Array[Long]], cols: Int): Array[Array[Long]] =
+    Array.tabulate(m.length) { ta =>
+      val row = m(ta)
+      val c = new Array[Long](cols + 1)
+      var tp = 0
+      while (tp < cols) { c(tp + 1) = c(tp) + row(tp); tp += 1 }
+      c
+    }
+
+  /** Cumulative counts of each column of `m` (`cols` columns), read straight
+    * from the stored rows: row `tj` of the result is `rowPrefixSums` of the
+    * transposed matrix's row `tj`.
+    */
+  def columnPrefixSums(m: Array[Array[Long]], cols: Int): Array[Array[Long]] = {
+    val c = Array.ofDim[Long](cols, m.length + 1)
+    var ti = 0
+    while (ti < m.length) {
+      val row = m(ti)
+      var tj = 0
+      while (tj < cols) { c(tj)(ti + 1) = c(tj)(ti) + row(tj); tj += 1 }
+      ti += 1
+    }
+    c
+  }
+
+  /** Eq 27's products: for every row `ta` of the count matrix whose
+    * cumulative rows are `cum`, adds `nu = sum over tp of cell(ta, tp) *
+    * beta(tp)` onto `out(parent(ta))`.
+    *
+    * The answer is bit-identical to adding `cell * beta(tp)` onto 0.0 for
+    * every `beta(tp) > 0` in ascending `tp`. Until the first entry that is
+    * positive and not exactly 1.0, each term is an integer and so is every
+    * partial sum; below 2^53 those are exact in a double, so a run of ones
+    * is added as one difference of prefix sums, in `Long`. From that entry
+    * on a partial sum may hold a fraction, and each further addition rounds,
+    * so every later `beta > 0` cell is added one by one in ascending order,
+    * runs of ones included. Summing those runs as prefix differences too
+    * would change the rounding and move answers by a few ulps.
+    */
+  def addPairProducts(cum: Array[Array[Long]], parent: Array[Int], beta: Array[Double], out: Array[Double]): Unit = {
+    val n = beta.length
+    // Runs [runLo(r), runHi(r)) of beta == 1.0 before the first fractional
+    // entry, then the ascending beta > 0 indices from that entry on.
+    val runLo = new Array[Int]((n + 1) / 2)
+    val runHi = new Array[Int]((n + 1) / 2)
+    val tail = new Array[Int](n)
+    var nRuns = 0
+    var nTail = 0
+    var tp = 0
+    while (tp < n && nTail == 0) {
+      val b = beta(tp)
+      if (b == 1.0) {
+        if (nRuns > 0 && runHi(nRuns - 1) == tp) runHi(nRuns - 1) = tp + 1
+        else { runLo(nRuns) = tp; runHi(nRuns) = tp + 1; nRuns += 1 }
+      } else if (b > 0) { tail(0) = tp; nTail = 1 }
+      tp += 1
+    }
+    while (tp < n) {
+      if (beta(tp) > 0) { tail(nTail) = tp; nTail += 1 }
+      tp += 1
+    }
+    var ta = 0
+    while (ta < cum.length) {
+      val c = cum(ta)
+      var ones = 0L
+      var r = 0
+      while (r < nRuns) { ones += c(runHi(r)) - c(runLo(r)); r += 1 }
+      var nu = ones.toDouble
+      var q = 0
+      while (q < nTail) {
+        val t = tail(q)
+        nu += (c(t + 1) - c(t)) * beta(t)
+        q += 1
+      }
+      out(parent(ta)) += nu
+      ta += 1
+    }
   }
 }
