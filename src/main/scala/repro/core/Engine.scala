@@ -41,7 +41,7 @@ final class Engine(ph: PairwiseHist) {
   private val views: Map[(Int, Int), PairView] =
     ph.hist2d.valuesIterator.flatMap { h =>
       Seq(
-        (h.colI, h.colJ) -> new PairView(h.metaJ, Engine.rowPrefixSums(h.counts, h.metaJ.k), h.metaI.parents(ph.hist1d(h.colI).meta)),
+        (h.colI, h.colJ) -> new PairView(h.metaJ, Engine.rowPrefixSums(h.counts), h.metaI.parents(ph.hist1d(h.colI).meta)),
         (h.colJ, h.colI) -> new PairView(h.metaI, Engine.columnPrefixSums(h.counts, h.metaJ.k), h.metaJ.parents(ph.hist1d(h.colJ).meta))
       )
     }.toMap
@@ -348,15 +348,14 @@ final class Engine(ph: PairwiseHist) {
 
 private[core] object Engine {
 
-  /** Cumulative counts of each row of `m` (`cols` columns): row `ta` of the
-    * result has `cols + 1` entries, entry `tp` the sum of `m(ta)(0 until tp)`.
+  /** Cumulative counts of each row of `m`: entry `tp` of row `ta` is the
+    * sum of `m(ta)(0 until tp)`, so the row has one entry more than `m(ta)`.
     */
-  def rowPrefixSums(m: Array[Array[Long]], cols: Int): Array[Array[Long]] =
-    Array.tabulate(m.length) { ta =>
-      val row = m(ta)
-      val c = new Array[Long](cols + 1)
+  def rowPrefixSums(m: Array[Array[Long]]): Array[Array[Long]] =
+    m.map { row =>
+      val c = new Array[Long](row.length + 1)
       var tp = 0
-      while (tp < cols) { c(tp + 1) = c(tp) + row(tp); tp += 1 }
+      while (tp < row.length) { c(tp + 1) = c(tp) + row(tp); tp += 1 }
       c
     }
 
