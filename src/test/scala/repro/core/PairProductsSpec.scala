@@ -4,7 +4,7 @@ import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 /** Eq 27's kernel, `Engine.addPairProducts`, against the plain loop it
-  * replaces: for every row, `nu = 0.0` plus `counts(ta)(tp) * beta(tp)` for
+  * must equal: for every row, `nu = 0.0` plus `counts(ta)(tp) * beta(tp)` for
   * each `beta(tp) > 0` in ascending `tp`, added onto `out(parent(ta))`. The
   * two must agree bit for bit on every shape of `beta` a coverage vector can
   * take.
