@@ -96,14 +96,27 @@ object Coverage {
   final case class Vec(est: Array[Double], lo: Array[Double], hi: Array[Double]) {
     def map(f: Array[Double] => Array[Double]): Vec = Vec(f(est), f(lo), f(hi))
 
-    /** Element-wise `f` of each vector with its counterpart in `that`. */
-    def zip(that: Vec)(f: (Double, Double) => Double): Vec = {
-      // A plain loop: Array.tabulate would box every element on this
-      // per-query path.
+    /** Eq 25: the element-wise product with `that`, estimate with estimate
+      * and bound with bound (bounds are monotone in each factor).
+      */
+    def and(that: Vec): Vec = {
+      // Plain loops with the arithmetic written in: one shared loop taking
+      // it as a function argument read slower on scalar queries.
       def z(x: Array[Double], y: Array[Double]) = {
         val r = new Array[Double](x.length)
         var t = 0
-        while (t < r.length) { r(t) = f(x(t), y(t)); t += 1 }
+        while (t < r.length) { r(t) = x(t) * y(t); t += 1 }
+        r
+      }
+      Vec(z(est, that.est), z(lo, that.lo), z(hi, that.hi))
+    }
+
+    /** Eq 26: the element-wise union `1 - (1 - x)(1 - y)` with `that`. */
+    def or(that: Vec): Vec = {
+      def z(x: Array[Double], y: Array[Double]) = {
+        val r = new Array[Double](x.length)
+        var t = 0
+        while (t < r.length) { r(t) = 1.0 - (1.0 - x(t)) * (1.0 - y(t)); t += 1 }
         r
       }
       Vec(z(est, that.est), z(lo, that.lo), z(hi, that.hi))

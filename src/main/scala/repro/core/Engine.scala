@@ -52,24 +52,43 @@ final class Engine(ph: PairwiseHist) {
     answer(q, i, q.where)
   }
 
-  /** GROUP BY over a categorical column: each group value becomes an extra
-    * equality condition (§3 — GROUP BY on any categorical column).
+  /** GROUP BY over a categorical column (§3): each group value adds an
+    * equality condition to the WHERE.
+    *
+    * The WHERE is evaluated once, and each group then pays only for its own
+    * equality vector, one element-wise product with the WHERE's (Eq 25), its
+    * weightings and its aggregation. That equals running every group as
+    * `WHERE (where) AND g = v` bit for bit: such an AND node has exactly two
+    * factors, a nested WHERE being a subtree (never consolidated) and a bare
+    * condition on another column a second condition vector, and a product
+    * of two doubles commutes. The one exception is a bare condition on the
+    * group column itself, which §5.2 consolidates: its interval set is
+    * intersected with each group's `{code}`. Groups whose answer is `None`
+    * are dropped.
     */
   def runGroupBy(q: Query): Seq[(String, AqpResult)] = {
     val g = q.groupBy.getOrElse(throw new IllegalArgumentException("no GROUP BY column"))
-    val gSpec = ph.specs(ph.columnIndex(g))
-    val dict = gSpec.kind match {
+    val j = ph.columnIndex(g)
+    val dict = ph.specs(j).kind match {
       case CategoricalCol(d) => d
       case _ => throw new IllegalArgumentException(s"GROUP BY requires a categorical column, got $g")
     }
+    if (dict.isEmpty) return Seq.empty
     val i = ph.columnIndex(q.aggCol)
-    dict.toIndexedSeq.flatMap { value =>
-      val cond = Cond(g, Op.Eq, value)
-      val where = q.where match {
-        case Some(w) => And(List(w, cond))
-        case None    => cond
-      }
-      answer(q, i, Some(where)).map(value -> _)
+    val meta = ph.hist1d(i).meta
+    val oneD = q.columns == Set(q.aggCol)
+    // Per group code: its own coverage vector, already combined with the WHERE.
+    val groupProb: Int => Coverage.Vec = q.where match {
+      case None => c => pairProb(i, j, IntervalSet.ofCond(Op.Eq, c))
+      case Some(w: Cond) if w.col == g =>
+        val set = IntervalSet.ofCond(w, ph.specs(j))
+        c => pairProb(i, j, set intersect IntervalSet.ofCond(Op.Eq, c))
+      case Some(w) =>
+        val wv = evalTree(w, i)
+        c => pairProb(i, j, IntervalSet.ofCond(Op.Eq, c)) and wv
+    }
+    dict.indices.flatMap { c =>
+      aggregate(q.agg, i, weightings(meta, groupProb(c)), oneD).map(dict(c) -> _)
     }
   }
 
@@ -117,8 +136,7 @@ final class Engine(ph: PairwiseHist) {
     // Eq 25 under conditional independence is the element-wise product;
     // bounds are monotone in each factor, so lows multiply with lows.
     // Eq 26 is the union 1 - prod(1 - p).
-    if (isAnd) all.reduce((a, b) => a.zip(b)(_ * _))
-    else all.reduce((a, b) => a.zip(b)((x, y) => 1.0 - (1.0 - x) * (1.0 - y)))
+    if (isAnd) all.reduce(_ and _) else all.reduce(_ or _)
   }
 
   /** Eq 27: per-1-d-bin probability that a point of aggregation column `i`
@@ -225,7 +243,11 @@ final class Engine(ph: PairwiseHist) {
         if (nw <= 0) return None
         val tStar = medianBin(w)
         val est = {
-          val below = w.take(tStar).sum
+          // w(0) + ... + w(tStar - 1) from the left, as `w.take(tStar).sum`
+          // adds them, without copying the array.
+          var below = if (tStar == 0) 0.0 else w(0)
+          var t = 1
+          while (t < tStar) { below += w(t); t += 1 }
           val f = (nw / 2 - below) / math.max(w(tStar), 1e-12)
           if (meta.unique(tStar) == 2) { if (f < 0.5) meta.vMin(tStar) else meta.vMax(tStar) }
           else meta.vMin(tStar) + (meta.vMax(tStar) - meta.vMin(tStar)) * f
@@ -273,11 +295,16 @@ final class Engine(ph: PairwiseHist) {
   ): Option[AqpResult] = {
     val Coverage.Vec(w, wLo, wHi) = weights
     val k = meta.k
-    def firstIdx(v: Array[Double], thresh: Double): Option[Int] = {
-      val r = if (isMin) 0 until k else (k - 1) to 0 by -1
-      r.find(v(_) > thresh)
+    // The first bin whose `v` exceeds `thresh`, scanning up from bin 0 or
+    // down from bin k - 1; -1 if there is none.
+    def firstIdx(v: Array[Double], thresh: Double, up: Boolean = isMin): Int = {
+      val step = if (up) 1 else -1
+      var t = if (up) 0 else k - 1
+      while (t >= 0 && t < k && !(v(t) > thresh)) t += step
+      if (t < k) t else -1
     }
-    val tEst = firstIdx(w, 0.0).getOrElse(return None)
+    val tEst = firstIdx(w, 0.0)
+    if (tEst < 0) return None
     def extremeNear(t: Int) = if (isMin) meta.vMin(t) else meta.vMax(t) // estimate side
     def extremeFar(t: Int) = if (isMin) meta.vMax(t) else meta.vMin(t)
 
@@ -286,29 +313,30 @@ final class Engine(ph: PairwiseHist) {
       else extremeNear(tEst)
 
     // Outer bound: from the widest weightings (wHi), threshold 0 (Eq 31).
-    val tOuter = firstIdx(wHi, 0.0).getOrElse(tEst)
+    val tOuter = { val t = firstIdx(wHi, 0.0); if (t < 0) tEst else t }
     val outer =
       if (oneD && meta.unique(tOuter) == 2 && wHi(tOuter) < meta.counts(tOuter) / 5.0) extremeFar(tOuter)
       else extremeNear(tOuter)
 
     // Inner bound: first bin confidently non-empty under wLo (Eq 32), with
     // the sub-bin tightening for single-column queries (§5.4.4).
-    val inner = firstIdx(wLo, 0.5) match {
-      case Some(t) =>
-        val u = meta.unique(t)
-        val h = meta.counts(t)
+    val tInner = firstIdx(wLo, 0.5)
+    val inner =
+      if (tInner >= 0) {
+        val u = meta.unique(tInner)
+        val h = meta.counts(tInner)
         if (oneD && u > 2 && h > ph.m) {
           val s = HypothesisTest.subBins(u)
-          val delta = (meta.vMax(t) - meta.vMin(t)) / s
-          val a = math.max(0, math.min(s - 1, math.floor(s * wLo(t) / h).toInt))
-          if (isMin) meta.vMax(t) - a * delta else meta.vMin(t) + a * delta
-        } else extremeFar(t)
-      case None =>
+          val delta = (meta.vMax(tInner) - meta.vMin(tInner)) / s
+          val a = math.max(0, math.min(s - 1, math.floor(s * wLo(tInner) / h).toInt))
+          if (isMin) meta.vMax(tInner) - a * delta else meta.vMin(tInner) + a * delta
+        } else extremeFar(tInner)
+      } else {
         // No confidently non-empty bin: fall back to the farthest possibly
         // non-empty bin so the bound stays conservative.
-        val tf = (if (isMin) (k - 1) to 0 by -1 else 0 until k).find(wHi(_) > 0).getOrElse(tEst)
-        extremeFar(tf)
-    }
+        val tf = firstIdx(wHi, 0.0, up = !isMin)
+        extremeFar(if (tf < 0) tEst else tf)
+      }
 
     val (lo, hi) = if (isMin) (outer, inner) else (inner, outer)
     Some(AqpResult(spec.fromGd(est), spec.fromGd(math.min(lo, est)), spec.fromGd(math.max(hi, est))))

@@ -18,7 +18,14 @@ final case class NumericCol(scale: Long, minScaled: Long) extends ColKind
 /** Frequency-ranked dictionary encoding: the most common value gets code 0,
   * the second most common code 1, etc. (§3).
   */
-final case class CategoricalCol(dict: Array[String]) extends ColKind
+final case class CategoricalCol(dict: Array[String]) extends ColKind {
+  // Built on first use. A value that repeats has its first index as code.
+  @transient private lazy val codes: Map[String, Int] =
+    dict.indices.reverseIterator.map(c => dict(c) -> c).toMap
+
+  /** The code of `value`: its index in `dict`, or -1 if it is not there. */
+  def code(value: String): Int = codes.getOrElse(value, -1)
+}
 
 /** Per-column pre-processing spec — enough to transform query literals into
   * the GD domain (§5.1) and to inverse-transform query results.
@@ -37,9 +44,7 @@ final case class ColumnSpec(name: String, kind: ColKind, nullCount: Long) {
         case other     => throw new IllegalArgumentException(s"bad literal $other for numeric $name")
       }
       math.rint(v * scale) - minScaled
-    case CategoricalCol(dict) =>
-      val s = literal.toString
-      dict.indexOf(s).toDouble
+    case c: CategoricalCol => c.code(literal.toString).toDouble
   }
 
   /** Inverse transform a GD-domain value back to the original domain.
@@ -86,6 +91,8 @@ object Preprocess {
     */
   val MaxGd: Double = math.pow(2, 63) - 2048
 
+  private val TwoTo63: Double = math.pow(2, 63)
+
   /** Most distinct values a string column may have; `fit` rejects more. */
   val MaxDictSize = 100000
 
@@ -101,7 +108,7 @@ object Preprocess {
     * @throws IllegalArgumentException if a column has an unsupported type,
     *   a string column has more than [[MaxDictSize]] distinct values, a
     *   floating-point column holds NaN or an infinity, or a numeric column's
-    *   GD maximum exceeds [[MaxGd]]
+    *   scaled minimum lies outside a Long or its GD maximum exceeds [[MaxGd]]
     */
   def fit(df: DataFrame): Array[ColumnSpec] = {
     val fields = df.schema.fields
@@ -137,6 +144,11 @@ object Preprocess {
           }
           val scale = math.pow(10, p).toLong
           val minScaled = math.rint(stat("min").getOrElse(0.0) * scale)
+          // `toLong` saturates, so a minimum outside [-2^63, 2^63) would
+          // silently shift every GD value.
+          if (!(minScaled >= -TwoTo63 && minScaled < TwoTo63))
+            throw new IllegalArgumentException(
+              s"column ${f.name} has scaled minimum $minScaled; the GD shift needs it in a Long")
           val gdMax = math.rint(stat("max").getOrElse(0.0) * scale) - minScaled
           if (!(gdMax <= MaxGd))
             throw new IllegalArgumentException(
@@ -192,9 +204,11 @@ object Preprocess {
       spec.kind match {
         case NumericCol(scale, minScaled) =>
           (round(numericAsLong(f).cast(DoubleType) * scale) - minScaled).cast(LongType).as(f.name)
-        case CategoricalCol(dict) =>
-          val lookup = dict.zipWithIndex.toMap
-          val fn = udf((s: String) => if (s == null) None else lookup.get(s).map(_.toLong))
+        case cat: CategoricalCol =>
+          val fn = udf { (s: String) =>
+            val c = if (s == null) -1 else cat.code(s)
+            if (c < 0) None else Some(c.toLong)
+          }
           fn(col(quote(f.name))).as(f.name)
       }
     }

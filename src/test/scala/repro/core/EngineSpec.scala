@@ -282,6 +282,42 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("GROUP BY equals each group run as WHERE (where) AND g = v, bit for bit") {
+    val rngQ = new Random(233)
+    val cols = Seq("x", "y", "z", "g")
+    val ops = Seq(Op.Lt, Op.Le, Op.Gt, Op.Ge, Op.Eq, Op.Ne)
+    val CategoricalCol(dict) = specs(3).kind: @unchecked
+    def literal(col: String): Any =
+      if (col != "g") math.rint(rngQ.nextDouble() * 1000)
+      else if (rngQ.nextInt(6) == 0) "nope"
+      else dict(rngQ.nextInt(dict.length))
+    def cond(col: String) = Cond(col, ops(rngQ.nextInt(ops.length)), literal(col))
+    def tree(depth: Int): PredTree =
+      if (depth == 0 || rngQ.nextInt(3) == 0) cond(cols(rngQ.nextInt(cols.length)))
+      else {
+        val kids = List.fill(1 + rngQ.nextInt(3))(tree(depth - 1))
+        if (rngQ.nextBoolean()) And(kids) else Or(kids)
+      }
+    // No WHERE; a bare condition on the group column for every op, with an
+    // unknown literal too; a bare condition on another column; nested trees.
+    val wheres: Seq[Option[PredTree]] =
+      Seq(None) ++
+        (for (op <- ops; v <- Seq("g0", "g3", "nope")) yield Some(Cond("g", op, v))) ++
+        Seq.fill(20)(Some(cond(cols(rngQ.nextInt(3))))) ++
+        Seq.fill(40)(Some(tree(3)))
+    def bits(r: AqpResult) = Seq(r.estimate, r.lo, r.hi).map(java.lang.Double.doubleToRawLongBits)
+    for (where <- wheres; fn <- AggFn.all; aggCol <- cols) {
+      val q = Query(fn, aggCol, where, groupBy = Some("g"))
+      val want = dict.toSeq.flatMap { v =>
+        val c = Cond("g", Op.Eq, v)
+        val perGroup = q.copy(groupBy = None, where = Some(where.fold[PredTree](c)(w => And(List(w, c)))))
+        engine.run(perGroup).map(r => v -> bits(r))
+      }
+      val got = engine.runGroupBy(q).map { case (v, r) => v -> bits(r) }
+      assert(got == want, q.toString)
+    }
+  }
+
   test("GROUP BY on non-categorical column is rejected") {
     val q = Query(AggFn.Count, "x", None, groupBy = Some("y"))
     intercept[IllegalArgumentException](engine.runGroupBy(q))

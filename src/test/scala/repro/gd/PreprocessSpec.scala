@@ -239,7 +239,6 @@ class PreprocessSpec extends SparkSpec {
       ("micro", DoubleType, Seq(1.0000005)),
       ("bigHalf", DoubleType, Seq(1e15 + 0.5)),
       ("negZero", DoubleType, Seq(-0.0)),
-      ("huge", DoubleType, Seq(Double.MaxValue)),
       ("tiny", DoubleType, Seq(Double.MinPositiveValue)),
       ("allNull", DoubleType, Seq(null, null)),
       ("f", FloatType, Seq(1.1f, -3.25f, null)),
@@ -270,7 +269,9 @@ class PreprocessSpec extends SparkSpec {
   }
 
   test("a numeric column whose GD range does not fit in a Long is rejected with its name") {
-    for ((t, vs) <- Seq(LongType -> Seq(Long.MaxValue, Long.MinValue + 1), DoubleType -> Seq(1e19, -1e19))) {
+    // The last two ranges fit; their scaled minimum alone lies outside a Long.
+    for ((t, vs) <- Seq(LongType -> Seq(Long.MaxValue, Long.MinValue + 1), DoubleType -> Seq(1e19, -1e19),
+                        DoubleType -> Seq(Double.MaxValue), DoubleType -> Seq(-1e19, -1e19 + 1e4))) {
       val frame = columns(("ok", LongType, Seq(1L, 2L)), ("big", t, vs))
       val e = intercept[IllegalArgumentException](Preprocess.fit(frame))
       assert(e.getMessage.contains("column big "), s"$t $vs: ${e.getMessage}")
@@ -278,6 +279,9 @@ class PreprocessSpec extends SparkSpec {
     // A range of 2^62 fits, and so does GreedyGD's +1 on top of it.
     val wide = Preprocess.run(columns(("wide", LongType, Seq(0L, 1L << 62)))).df
     assert(wide.agg(max(col("wide") + 1L)).head().getLong(0) == (1L << 62) + 1)
+    // The smallest Long is a valid minimum.
+    val low = Preprocess.fit(columns(("low", LongType, Seq(Long.MinValue, Long.MinValue + 5))))
+    assert(low(0).kind == NumericCol(1, Long.MinValue))
   }
 
   test("fit runs two Spark jobs on a frame with three string columns") {
