@@ -8,10 +8,13 @@ import repro.gd.{CategoricalCol, ColumnSpec, NumericCol}
 
 import scala.util.Random
 
-/** Pins the raw bits of every [[Engine]] answer for seeded query batteries
-  * over one fixed synopsis built without Spark. A change to the engine that
-  * alters any estimate or bound by one ulp, or turns an answer into `None`
-  * (or back), changes a hash here.
+/** Pins every [[Engine]] answer for seeded query batteries over one fixed
+  * synopsis built without Spark, twice: once by raw bits and once rounded to
+  * 8 significant digits. A change to the engine that alters any estimate or
+  * bound by one ulp changes a raw hash; one that moves an answer beyond
+  * rounding, or turns an answer into `None` (or back), changes both. A
+  * change that reorders floating-point sums on purpose re-records the raw
+  * hashes and must leave the rounded ones as they are.
   *
   * The synopsis has nulls, non-identity `NumericCol(scale, minScaled)`
   * specs and a categorical column, and is built with n > Ns so Eq 29's
@@ -94,23 +97,34 @@ class EngineGoldenSpec extends AnyFunSuite {
       Some(tree(rng, if (rng.nextInt(5) == 0) IndexedSeq(i) else cols, 3))
     }
 
+  /** Two SHA-256 digests of the same answers: `raw` over their bits,
+    * `rounded` over each value printed with `%.8g`.
+    */
   private final class Digest {
-    private val buf = new ByteArrayOutputStream()
-    private val out = new DataOutputStream(buf)
+    private val rawBuf = new ByteArrayOutputStream()
+    private val raw = new DataOutputStream(rawBuf)
+    private val roundedBuf = new ByteArrayOutputStream()
+    private val rounded = new DataOutputStream(roundedBuf)
+    private val both = Seq(raw, rounded)
     def answer(r: Option[AqpResult]): Unit = r match {
-      case None => out.writeByte(0)
+      case None => both.foreach(_.writeByte(0))
       case Some(a) =>
-        out.writeByte(1)
-        Seq(a.estimate, a.lo, a.hi).foreach(x => out.writeLong(java.lang.Double.doubleToRawLongBits(x)))
+        both.foreach(_.writeByte(1))
+        Seq(a.estimate, a.lo, a.hi).foreach { x =>
+          raw.writeLong(java.lang.Double.doubleToRawLongBits(x))
+          rounded.writeUTF(String.format(java.util.Locale.ROOT, "%.8g", Double.box(x)))
+        }
     }
     def group(rs: Seq[(String, AqpResult)]): Unit = {
-      out.writeInt(rs.length)
-      rs.foreach { case (g, a) => out.writeUTF(g); answer(Some(a)) }
+      both.foreach(_.writeInt(rs.length))
+      rs.foreach { case (g, a) => both.foreach(_.writeUTF(g)); answer(Some(a)) }
     }
-    def sha256: String = {
+    private def sha256(out: DataOutputStream, buf: ByteArrayOutputStream): String = {
       out.flush()
       MessageDigest.getInstance("SHA-256").digest(buf.toByteArray).map(b => f"${b & 0xff}%02x").mkString
     }
+    /** (rounded, raw), so a failed assertion shows both. */
+    def hashes: (String, String) = (sha256(rounded, roundedBuf), sha256(raw, rawBuf))
   }
 
   test("golden: every aggregation x op x ordered column pair, one condition each") {
@@ -121,8 +135,9 @@ class EngineGoldenSpec extends AnyFunSuite {
       for (j <- 0 until d; op <- ops)
         h.answer(engine.run(Query(fn, specs(i).name, Some(Cond(specs(j).name, op, literal(rng, j))))))
     }
-    assert(h.sha256 ==
-      "772d02368c35fcb538963593f5b5044f564a510ff7d5564805a8df5110b2e17f")
+    assert(h.hashes == (
+      "3a79dc5b660c9bef9ea220f7a1880179912a9bf7ec18cdcfcefe78cdf45df7b5",
+      "772d02368c35fcb538963593f5b5044f564a510ff7d5564805a8df5110b2e17f"))
   }
 
   test("golden: random nested AND/OR queries with same-column groups") {
@@ -132,8 +147,9 @@ class EngineGoldenSpec extends AnyFunSuite {
       val i = rng.nextInt(d)
       h.answer(engine.run(Query(AggFn.all(rng.nextInt(AggFn.all.length)), specs(i).name, randomWhere(rng, i))))
     }
-    assert(h.sha256 ==
-      "d08c5cad7c2156552b9b6b3322a6997fc6d25b00c00aab532ee5d7deda920d87")
+    assert(h.hashes == (
+      "43893fd94f5d0312db7883c4ea651bcccc802eee142c23c1236635904565a214",
+      "d08c5cad7c2156552b9b6b3322a6997fc6d25b00c00aab532ee5d7deda920d87"))
   }
 
   test("golden: GROUP BY the categorical column") {
@@ -144,7 +160,8 @@ class EngineGoldenSpec extends AnyFunSuite {
       h.group(engine.runGroupBy(
         Query(AggFn.all(rng.nextInt(AggFn.all.length)), specs(i).name, randomWhere(rng, i), Some("cat"))))
     }
-    assert(h.sha256 ==
-      "eb168db1fa07a0f13762ff7c7ffde211d9cbe6521c1380f25b53de27d51fbcd1")
+    assert(h.hashes == (
+      "3321d364729d8a8c923882938e33bcc87d6f735c2ba02c77e8cb45c3827192e7",
+      "eb168db1fa07a0f13762ff7c7ffde211d9cbe6521c1380f25b53de27d51fbcd1"))
   }
 }
