@@ -162,21 +162,30 @@ object Coverage {
     val overlap = set.overlapPoints(vMin, vMax)
     if (overlap <= 0) 0.0
     else if (overlap >= span + 1) 1.0 // all integer points covered
-    else if (u == 1) { if (set.contains(vMin)) 1.0 else 0.0 }
-    else if (u == 2) {
-      val c = (if (set.contains(vMin)) 1 else 0) + (if (set.contains(vMax)) 1 else 0)
-      c / 2.0
-    } else {
+    else {
+      // One pass over the intervals: whether each extremum is covered, and
+      // whether the overlap is single points only and how many there are.
+      var hasMin = false
+      var hasMax = false
+      var pointOnly = true
+      var pts = 0
+      var rest = set.ivs
+      while (rest.nonEmpty) {
+        val iv = rest.head
+        val a = iv._1; val b = iv._2
+        if (a <= vMin && vMin <= b) hasMin = true
+        if (a <= vMax && vMax <= b) hasMax = true
+        if (a == b) { if (a >= vMin && a <= vMax) pts += 1 }
+        else if (!(b < vMin || a > vMax)) pointOnly = false
+        rest = rest.tail
+      }
+      if (u == 1) { if (hasMin) 1.0 else 0.0 }
+      else if (u == 2) ((if (hasMin) 1 else 0) + (if (hasMax) 1 else 0)) / 2.0
+      // Pure single-point (equality) overlap is better served by 1/u (Eq 15).
+      else if (pointOnly && pts > 0) math.min(1.0, pts.toDouble / u)
       // Mixed point/range overlap: fraction of the bin's integer span. This
       // is the paper's f_t(P) with the span measured over [vMin, vMax].
-      val f = overlap / (span + 1)
-      // Pure single-point (equality) overlap is better served by 1/u (Eq 15).
-      val isPointOnly = set.ivs.forall { case (a, b) =>
-        b < vMin || a > vMax || a == b
-      }
-      val pts = set.ivs.count { case (a, b) => a == b && a >= vMin && a <= vMax }
-      if (isPointOnly && pts > 0) math.min(1.0, pts.toDouble / u)
-      else math.min(1.0, math.max(0.0, f))
+      else math.min(1.0, math.max(0.0, overlap / (span + 1)))
     }
   }
 }
