@@ -94,8 +94,6 @@ object Coverage {
 
   /** A per-bin estimate with its lower and upper bounds. */
   final case class Vec(est: Array[Double], lo: Array[Double], hi: Array[Double]) {
-    def map(f: Array[Double] => Array[Double]): Vec = Vec(f(est), f(lo), f(hi))
-
     /** Eq 25: the element-wise product with `that`, estimate with estimate
       * and bound with bound (bounds are monotone in each factor).
       */
@@ -123,6 +121,34 @@ object Coverage {
     }
   }
 
+  /** A coverage vector over `k` bins in sparse form: the runs
+    * `[runLo(r), runHi(r))`, `r < nRuns`, of bins covered exactly (1.0),
+    * then the fractional bins `at(q)`, `q < nFrac`, ascending, with their
+    * estimates and bounds. Every other bin is 0. An exact bin is its own
+    * bound, so the estimate and both bounds share the runs and the zeros.
+    */
+  final class SparseVec(
+      val k: Int,
+      val runLo: Array[Int], val runHi: Array[Int], val nRuns: Int,
+      val at: Array[Int], val est: Array[Double], val lo: Array[Double], val hi: Array[Double], val nFrac: Int
+  ) {
+    /** The same vector with every bin written out. */
+    def dense: Vec = {
+      val e = new Array[Double](k)
+      val l = new Array[Double](k)
+      val h = new Array[Double](k)
+      var r = 0
+      while (r < nRuns) {
+        var t = runLo(r)
+        while (t < runHi(r)) { e(t) = 1.0; l(t) = 1.0; h(t) = 1.0; t += 1 }
+        r += 1
+      }
+      var q = 0
+      while (q < nFrac) { e(at(q)) = est(q); l(at(q)) = lo(q); h(at(q)) = hi(q); q += 1 }
+      Vec(e, l, h)
+    }
+  }
+
   /** Coverage of `set` over every bin of `meta`, with bounds.
     *
     * Eq 15/16 case analysis per bin with extrema [vMin, vMax], u uniques:
@@ -132,28 +158,38 @@ object Coverage {
     *  - u == 2                                 -> (#extrema covered)/2
     *  - point (equality) overlap only          -> (#points covered)/u
     *  - otherwise                              -> covered fraction of span
+    *
+    * Only the fractional bins get bounds (Eqs 22–23).
     */
-  def coverage(set: IntervalSet, meta: DimMeta, m: Long, alpha: Double): Vec = {
+  def sparse(set: IntervalSet, meta: DimMeta, m: Long, alpha: Double): SparseVec = {
     val k = meta.k
+    val runLo = new Array[Int]((k + 1) / 2)
+    val runHi = new Array[Int]((k + 1) / 2)
+    val at = new Array[Int](k)
     val est = new Array[Double](k)
     val lo = new Array[Double](k)
     val hi = new Array[Double](k)
+    var nRuns = 0
+    var nFrac = 0
     var t = 0
     while (t < k) {
       val b = binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t))
-      est(t) = b
-      // An exact bin is its own bound (what coverageBounds returns for it).
-      if (b == 0.0) { lo(t) = 0.0; hi(t) = 0.0 }
-      else if (b == 1.0) { lo(t) = 1.0; hi(t) = 1.0 }
-      else {
+      if (b == 1.0) {
+        if (nRuns > 0 && runHi(nRuns - 1) == t) runHi(nRuns - 1) = t + 1
+        else { runLo(nRuns) = t; runHi(nRuns) = t + 1; nRuns += 1 }
+      } else if (b != 0.0) {
         val (bl, bh) = Theorems.coverageBounds(b, meta.counts(t), meta.unique(t), m, alpha)
-        lo(t) = bl
-        hi(t) = bh
+        at(nFrac) = t; est(nFrac) = b; lo(nFrac) = bl; hi(nFrac) = bh
+        nFrac += 1
       }
       t += 1
     }
-    Vec(est, lo, hi)
+    new SparseVec(k, runLo, runHi, nRuns, at, est, lo, hi, nFrac)
   }
+
+  /** [[sparse]] with every bin written out. */
+  def coverage(set: IntervalSet, meta: DimMeta, m: Long, alpha: Double): Vec =
+    sparse(set, meta, m, alpha).dense
 
   /** Estimated coverage of one bin (no bounds). */
   def binCoverage(set: IntervalSet, vMin: Double, vMax: Double, u: Long): Double = {

@@ -151,18 +151,23 @@ final class Engine(ph: PairwiseHist) {
       val view = views.getOrElse((i, j), throw new IllegalStateException(s"missing pair histogram ($i,$j)"))
       // nu = H^(ij) beta over the pair's refined aggregation bins, each
       // summed onto its parent 1-d bin, then divided by the 1-d counts.
-      def toProb(beta: Array[Double]): Array[Double] = {
-        val p = new Array[Double](meta1.k)
-        Engine.addPairProducts(view.cum, view.parent, beta, p)
-        var t = 0
-        while (t < p.length) {
-          val h = meta1.counts(t)
-          p(t) = if (h <= 0) 0.0 else math.min(1.0, math.max(0.0, p(t) / h))
-          t += 1
+      val k = meta1.k
+      val est = new Array[Double](k)
+      val lo = new Array[Double](k)
+      val hi = new Array[Double](k)
+      Engine.addPairProducts(view.cum, view.parent, Coverage.sparse(set, view.pred, ph.m, ph.alpha), est, lo, hi)
+      var t = 0
+      while (t < k) {
+        val h = meta1.counts(t)
+        if (h <= 0) { est(t) = 0.0; lo(t) = 0.0; hi(t) = 0.0 }
+        else {
+          est(t) = math.min(1.0, math.max(0.0, est(t) / h))
+          lo(t) = math.min(1.0, math.max(0.0, lo(t) / h))
+          hi(t) = math.min(1.0, math.max(0.0, hi(t) / h))
         }
-        p
+        t += 1
       }
-      Coverage.coverage(set, view.pred, ph.m, ph.alpha).map(toProb)
+      Coverage.Vec(est, lo, hi)
     }
   }
 
@@ -403,56 +408,50 @@ private[core] object Engine {
     c
   }
 
-  /** Eq 27's products: for every row `ta` of the count matrix whose
-    * cumulative rows are `cum`, adds `nu = sum over tp of cell(ta, tp) *
-    * beta(tp)` onto `out(parent(ta))`.
+  /** Eq 27's products for an estimate and its two bounds in one pass: for
+    * every row `ta` of the count matrix whose cumulative rows are `cum`,
+    * adds `nu = sum over tp of cell(ta, tp) * beta(tp)` onto
+    * `outEst(parent(ta))`, and likewise with `beta`'s bounds onto `outLo`
+    * and `outHi`.
     *
-    * The answer is bit-identical to adding `cell * beta(tp)` onto 0.0 for
-    * every `beta(tp) > 0` in ascending `tp`. Until the first entry that is
-    * positive and not exactly 1.0, each term is an integer and so is every
-    * partial sum; below 2^53 those are exact in a double, so a run of ones
-    * is added as one difference of prefix sums, in `Long`. From that entry
-    * on a partial sum may hold a fraction, and each further addition rounds,
-    * so every later `beta > 0` cell is added one by one in ascending order,
-    * runs of ones included. Summing those runs as prefix differences too
-    * would change the rounding and move answers by a few ulps.
+    * Summation order: the cells of `beta`'s runs of ones are summed first,
+    * each run as one difference of prefix sums, in `Long`, which is exact;
+    * the fractional terms `cell * beta(tp)` are then added onto that
+    * integer in ascending `tp`, so only they round. The three sums share
+    * the integer part, as the three vectors share their runs.
     */
-  def addPairProducts(cum: Array[Array[Long]], parent: Array[Int], beta: Array[Double], out: Array[Double]): Unit = {
-    val n = beta.length
-    // Runs [runLo(r), runHi(r)) of beta == 1.0 before the first fractional
-    // entry, then the ascending beta > 0 indices from that entry on.
-    val runLo = new Array[Int]((n + 1) / 2)
-    val runHi = new Array[Int]((n + 1) / 2)
-    val tail = new Array[Int](n)
-    var nRuns = 0
-    var nTail = 0
-    var tp = 0
-    while (tp < n && nTail == 0) {
-      val b = beta(tp)
-      if (b == 1.0) {
-        if (nRuns > 0 && runHi(nRuns - 1) == tp) runHi(nRuns - 1) = tp + 1
-        else { runLo(nRuns) = tp; runHi(nRuns) = tp + 1; nRuns += 1 }
-      } else if (b > 0) { tail(0) = tp; nTail = 1 }
-      tp += 1
-    }
-    while (tp < n) {
-      if (beta(tp) > 0) { tail(nTail) = tp; nTail += 1 }
-      tp += 1
-    }
+  def addPairProducts(
+      cum: Array[Array[Long]], parent: Array[Int], beta: Coverage.SparseVec,
+      outEst: Array[Double], outLo: Array[Double], outHi: Array[Double]
+  ): Unit = {
+    val runLo = beta.runLo
+    val runHi = beta.runHi
+    val at = beta.at
+    val est = beta.est
+    val lo = beta.lo
+    val hi = beta.hi
     var ta = 0
     while (ta < cum.length) {
       val c = cum(ta)
       var ones = 0L
       var r = 0
-      while (r < nRuns) { ones += c(runHi(r)) - c(runLo(r)); r += 1 }
-      var nu = ones.toDouble
+      while (r < beta.nRuns) { ones += c(runHi(r)) - c(runLo(r)); r += 1 }
+      var e = ones.toDouble
+      var l = e
+      var h = e
       var q = 0
-      while (q < nTail) {
-        val t = tail(q)
-        nu += (c(t + 1) - c(t)) * beta(t)
+      while (q < beta.nFrac) {
+        val t = at(q)
+        val cell = (c(t + 1) - c(t)).toDouble
+        e += cell * est(q)
+        l += cell * lo(q)
+        h += cell * hi(q)
         q += 1
       }
-      out(parent(ta)) += nu
+      val p = parent(ta)
+      outEst(p) += e
+      outLo(p) += l
+      outHi(p) += h
       ta += 1
     }
   }

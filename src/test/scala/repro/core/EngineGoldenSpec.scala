@@ -137,7 +137,7 @@ class EngineGoldenSpec extends AnyFunSuite {
     }
     assert(h.hashes == (
       "3a79dc5b660c9bef9ea220f7a1880179912a9bf7ec18cdcfcefe78cdf45df7b5",
-      "772d02368c35fcb538963593f5b5044f564a510ff7d5564805a8df5110b2e17f"))
+      "8b8a32bbb97e8ca95f9a10b319234bda2ac8daf6f20c12d17a5f7c101046e2e4"))
   }
 
   test("golden: random nested AND/OR queries with same-column groups") {
@@ -149,7 +149,7 @@ class EngineGoldenSpec extends AnyFunSuite {
     }
     assert(h.hashes == (
       "43893fd94f5d0312db7883c4ea651bcccc802eee142c23c1236635904565a214",
-      "d08c5cad7c2156552b9b6b3322a6997fc6d25b00c00aab532ee5d7deda920d87"))
+      "d842f31ea00d2e7914d67a0bb5c637994b29c6f2c3e651d5d8d974fee055a3cc"))
   }
 
   test("golden: GROUP BY the categorical column") {
@@ -162,6 +162,6 @@ class EngineGoldenSpec extends AnyFunSuite {
     }
     assert(h.hashes == (
       "3321d364729d8a8c923882938e33bcc87d6f735c2ba02c77e8cb45c3827192e7",
-      "eb168db1fa07a0f13762ff7c7ffde211d9cbe6521c1380f25b53de27d51fbcd1"))
+      "937730ce763ee554331a3f18c76328f806a1905af39d0c657d32232def588af1"))
   }
 }
