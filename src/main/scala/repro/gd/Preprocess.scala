@@ -83,11 +83,12 @@ object Preprocess {
   /** Max decimal places probed during float-to-int conversion. */
   private val MaxDecimals = 6
 
-  /** Largest GD value `fit` accepts, computed in doubles as `apply` does.
-    * GreedyGD adds 1 to every value (0 is its null code), and the sum must
-    * fit in a Long. Doubles between 2^62 and 2^63 step by 1024, so one step
-    * below the largest double under 2^63 leaves room for that +1 and for
-    * `apply`'s HALF_UP `round` where `fit` uses `rint`.
+  /** Largest GD value `fit` accepts. GreedyGD adds 1 to every value (0 is
+    * its null code), and the sum must fit in a Long. Fractional columns are
+    * computed in doubles, as `apply` does, and doubles between 2^62 and 2^63
+    * step by 1024, so one step below the largest double under 2^63 leaves
+    * room for that +1 and for `apply`'s HALF_UP `round` where `fit` uses
+    * `rint`. Integral columns are computed exactly, against the same limit.
     */
   val MaxGd: Double = math.pow(2, 63) - 2048
 
@@ -113,14 +114,16 @@ object Preprocess {
   def fit(df: DataFrame): Array[ColumnSpec] = {
     val fields = df.schema.fields
     // For every column its non-null count; for numeric ones the min and max,
+    // in Long for integral columns (a double holds integers only up to 2^53),
     // and for fractional ones the error of rounding x·10^p for each p. `rint`
     // and `round` differ only at exact .5 ties, where both errors are 0.5.
     val aggs = count(lit(1)).as("__rows") +: fields.flatMap { f =>
       val nonNull = count(col(quote(f.name))).as(s"${f.name}__count")
       if (f.dataType == StringType) Seq(nonNull)
       else {
-        val x = numericAsLong(f).cast(DoubleType)
-        val fracs = if (!isFractional(f.dataType)) Nil else (0 to MaxDecimals).map { p =>
+        val fractional = isFractional(f.dataType)
+        val x = numericAsLong(f).cast(if (fractional) DoubleType else LongType)
+        val fracs = if (!fractional) Nil else (0 to MaxDecimals).map { p =>
           val scaled = x * math.pow(10, p)
           max(abs(scaled - rint(scaled))).as(s"${f.name}__frac$p")
         }
@@ -132,16 +135,22 @@ object Preprocess {
 
     fields.zipWithIndex.map { case (f, i) =>
       def stat(s: String): Option[Double] = Option(row.getAs[Any](s"${f.name}__$s")).map(_.asInstanceOf[Double])
+      def spanError(gdMax: Any) = new IllegalArgumentException(
+        s"column ${f.name} spans $gdMax in the GD domain; GreedyGD needs its maximum plus one in a Long")
       val kind = f.dataType match {
         case StringType => CategoricalCol(dicts.getOrElse(i, Array.empty))
+        case t if !isFractional(t) =>
+          def long(s: String): Long = Option(row.getAs[Any](s"${f.name}__$s")).fold(0L)(_.asInstanceOf[Long])
+          val minScaled = long("min")
+          val gdMax = BigInt(long("max")) - minScaled
+          if (gdMax > BigInt(MaxGd.toLong)) throw spanError(gdMax)
+          NumericCol(1, minScaled)
         case t =>
-          val p = if (!isFractional(t)) 0 else {
-            // x − rint(x) is NaN exactly when x is NaN or infinite.
-            if (stat("frac0").exists(_.isNaN))
-              throw new IllegalArgumentException(
-                s"column ${f.name} holds NaN or infinite values; GD encoding needs finite numbers")
-            (0 to MaxDecimals).find(p => stat(s"frac$p").forall(_ < 1e-6)).getOrElse(MaxDecimals)
-          }
+          // x − rint(x) is NaN exactly when x is NaN or infinite.
+          if (stat("frac0").exists(_.isNaN))
+            throw new IllegalArgumentException(
+              s"column ${f.name} holds NaN or infinite values; GD encoding needs finite numbers")
+          val p = (0 to MaxDecimals).find(p => stat(s"frac$p").forall(_ < 1e-6)).getOrElse(MaxDecimals)
           val scale = math.pow(10, p).toLong
           val minScaled = math.rint(stat("min").getOrElse(0.0) * scale)
           // `toLong` saturates, so a minimum outside [-2^63, 2^63) would
@@ -150,9 +159,7 @@ object Preprocess {
             throw new IllegalArgumentException(
               s"column ${f.name} has scaled minimum $minScaled; the GD shift needs it in a Long")
           val gdMax = math.rint(stat("max").getOrElse(0.0) * scale) - minScaled
-          if (!(gdMax <= MaxGd))
-            throw new IllegalArgumentException(
-              s"column ${f.name} spans $gdMax in the GD domain; GreedyGD needs its maximum plus one in a Long")
+          if (!(gdMax <= MaxGd)) throw spanError(gdMax)
           NumericCol(scale, minScaled.toLong)
       }
       ColumnSpec(f.name, kind, row.getAs[Long]("__rows") - row.getAs[Long](s"${f.name}__count"))
@@ -202,6 +209,8 @@ object Preprocess {
     val fields = df.schema.fields
     val cols = fields.zip(specs).map { case (f, spec) =>
       spec.kind match {
+        case NumericCol(scale, minScaled) if !isFractional(f.dataType) =>
+          (numericAsLong(f).cast(LongType) * scale - minScaled).as(f.name)
         case NumericCol(scale, minScaled) =>
           (round(numericAsLong(f).cast(DoubleType) * scale) - minScaled).cast(LongType).as(f.name)
         case cat: CategoricalCol =>

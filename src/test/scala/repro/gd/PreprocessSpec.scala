@@ -284,6 +284,13 @@ class PreprocessSpec extends SparkSpec {
     assert(low(0).kind == NumericCol(1, Long.MinValue))
   }
 
+  test("an integral column above 2^53 keeps every bit: its GD values are exactly x - min") {
+    val vs = Seq((1L << 53) + 1, (1L << 53) + 3, (1L << 60) + 7)
+    val r = Preprocess.run(columns(("big", LongType, vs)))
+    assert(r.specs(0).kind == NumericCol(1, vs.head))
+    assert(r.df.collect().map(_.getLong(0)).sorted.toSeq == vs.map(_ - vs.head))
+  }
+
   test("fit runs two Spark jobs on a frame with three string columns") {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
