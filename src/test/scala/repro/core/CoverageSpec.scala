@@ -118,4 +118,35 @@ class CoverageSpec extends AnyFunSuite {
     val c2 = Coverage.binCoverage(gt, 0, 99, 100)
     assert(math.abs(c1 + c2 - 1.0) < 0.02, s"$c1 + $c2")
   }
+
+  test("sparse holds maximal runs of exact bins and the ascending fractional bins, with bounds") {
+    // Ten bins of width 10, [10t, 10t + 9], each with 10 uniques.
+    val meta = DimMeta(
+      edges = Array.tabulate(11)(t => 10.0 * t),
+      vMin = Array.tabulate(10)(t => 10.0 * t),
+      vMax = Array.tabulate(10)(t => 10.0 * t + 9),
+      unique = Array.fill(10)(10L),
+      counts = Array.fill(10)(100L)
+    )
+    val sets = Seq(
+      IntervalSet.ofCond(Op.Gt, 34.0),                               // fractional, then ones
+      IntervalSet.ofCond(Op.Ne, 55.0),                               // ones, fractional, ones
+      IntervalSet(List((0.0, 19.0), (25.0, 25.0), (40.0, 59.0))),    // two runs around a point
+      IntervalSet.ofCond(Op.Eq, 200.0)                               // nothing
+    )
+    for (set <- sets) {
+      val sv = Coverage.sparse(set, meta, m = 10, alpha = 0.001)
+      val runs = (0 until sv.nRuns).map(r => (sv.runLo(r), sv.runHi(r)))
+      val frac = (0 until sv.nFrac).map(sv.at)
+      val want = (0 until meta.k).map(t => Coverage.binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t)))
+      assert(runs.flatMap { case (a, b) => a until b } == want.indices.filter(want(_) == 1.0), s"$set")
+      assert(runs.forall { case (a, b) => a < b }, s"$set")
+      assert(runs.zip(runs.drop(1)).forall { case ((_, b), (a, _)) => b < a }, s"$set: runs not maximal")
+      assert(frac == want.indices.filter(t => want(t) != 0.0 && want(t) != 1.0), s"$set")
+      for (q <- frac.indices) {
+        val (lo, hi) = Theorems.coverageBounds(want(frac(q)), 100L, 10L, 10L, 0.001)
+        assert((sv.est(q), sv.lo(q), sv.hi(q)) == ((want(frac(q)), lo, hi)), s"$set bin ${frac(q)}")
+      }
+    }
+  }
 }
