@@ -22,7 +22,10 @@ import scala.util.Random
   * sample values, values between grid points, values outside the data's
   * range, numeric strings and an unknown categorical value. Every column is
   * taken as the aggregation column against every other column, so both
-  * orientations of each stored pair matrix are read.
+  * orientations of each stored pair matrix are read. The last battery
+  * draws its literals from the synopsis's own metadata, so they land on
+  * edges, on bin extrema, between bins, inside empty bins and beyond the
+  * outer edges.
   */
 class EngineGoldenSpec extends AnyFunSuite {
 
@@ -163,5 +166,106 @@ class EngineGoldenSpec extends AnyFunSuite {
     assert(h.hashes == (
       "3321d364729d8a8c923882938e33bcc87d6f735c2ba02c77e8cb45c3827192e7",
       "937730ce763ee554331a3f18c76328f806a1905af39d0c657d32232def588af1"))
+  }
+
+  // ---------------------------------------------- bin-boundary battery ----
+
+  /** The metadata that a condition on column `j` reads when `i` is the
+    * aggregation column: the 1-d histogram's for `j == i`, else the pair
+    * histogram's dimension of `j`.
+    */
+  private def predMeta(i: Int, j: Int): DimMeta =
+    if (i == j) ph.hist1d(j).meta
+    else {
+      val p = ph.pair(i, j).get
+      if (p.colI == j) p.metaI else p.metaJ
+    }
+
+  /** A GD value of `meta` on or around a bin boundary: an edge, a bin's
+    * vMin or vMax, a value between two bins, a value inside an empty bin,
+    * or a value beyond the first or last edge.
+    */
+  private def boundaryGd(rng: Random, meta: DimMeta): Double = {
+    val k = meta.k
+    val t = rng.nextInt(k)
+    rng.nextInt(7) match {
+      case 0 => meta.edges(rng.nextInt(k + 1))
+      case 1 => meta.vMin(t)
+      case 2 => meta.vMax(t)
+      case 3 => // between the data of bin t and of the next non-empty bin
+        val next = (t + 1 until k).find(meta.unique(_) > 0).map(meta.vMin).getOrElse(meta.edges(k))
+        meta.vMax(t) + 1 + rng.nextInt(math.max(1, (next - meta.vMax(t) - 1).toInt))
+      case 4 => // inside an empty bin, if there is one
+        val empty = (0 until k).filter(meta.unique(_) == 0)
+        if (empty.isEmpty) meta.edges(t)
+        else { val e = empty(rng.nextInt(empty.length)); math.floor((meta.edges(e) + meta.edges(e + 1)) / 2) }
+      case 5 => meta.edges(0) - 1 - rng.nextInt(3)
+      case _ => meta.edges(k) + rng.nextInt(3)
+    }
+  }
+
+  /** `gd` as a literal of column `j`: numeric through [[orig]], categorical
+    * as its dictionary value, or an unknown value off the dictionary.
+    */
+  private def gdLiteral(j: Int, gd: Double): Any = specs(j).kind match {
+    case CategoricalCol(dict) =>
+      if (gd == math.rint(gd) && gd >= 0 && gd < dict.length) dict(gd.toInt) else "zzz"
+    case NumericCol(_, _) => orig(j, gd)
+  }
+
+  /** Two or three GD values within one non-empty bin of `meta`, ascending. */
+  private def pointsInOneBin(rng: Random, meta: DimMeta): Seq[Double] = {
+    val full = (0 until meta.k).filter(meta.unique(_) > 0)
+    val t = full(rng.nextInt(full.length))
+    val span = (meta.vMax(t) - meta.vMin(t)).toInt
+    Seq.fill(2 + rng.nextInt(2))(meta.vMin(t) + rng.nextInt(span + 1)).distinct.sorted
+  }
+
+  /** A condition, or a same-column group, on column `j` aimed at the bin
+    * boundaries of what the aggregation column `i` reads: single conditions
+    * on boundary literals, `<>` inside one bin, and AND/OR groups that leave
+    * two or three intervals in one bin.
+    */
+  private def boundaryPred(rng: Random, i: Int, j: Int): PredTree = {
+    val meta = if (rng.nextInt(4) == 0) ph.hist1d(j).meta else predMeta(i, j)
+    val name = specs(j).name
+    def c(op: Op, gd: Double) = Cond(name, op, gdLiteral(j, gd))
+    rng.nextInt(6) match {
+      case 0 | 1 => c(ops(rng.nextInt(ops.length)), boundaryGd(rng, meta))
+      case 2 => c(Op.Ne, pointsInOneBin(rng, meta).head)
+      case 3 => Or(pointsInOneBin(rng, meta).map(c(Op.Eq, _)).toList)
+      case 4 => And(pointsInOneBin(rng, meta).map(c(Op.Ne, _)).toList)
+      case _ =>
+        val ps = pointsInOneBin(rng, meta)
+        if (rng.nextBoolean()) Or(List(c(Op.Lt, ps.head), c(Op.Gt, ps.last)))
+        else And(List(c(Op.Ge, ps.head), c(Op.Le, ps.last)))
+    }
+  }
+
+  /** A WHERE over one to three columns whose conditions all aim at bin
+    * boundaries; a same-column group may sit beside other conditions.
+    */
+  private def boundaryWhere(rng: Random, i: Int): PredTree = {
+    val cols = rng.shuffle((0 until d).toIndexedSeq).take(1 + rng.nextInt(3))
+    val kids = cols.map(boundaryPred(rng, i, _)).toList
+    if (kids.length == 1) kids.head
+    else if (rng.nextBoolean()) And(kids) else Or(kids)
+  }
+
+  test("golden: literals on and around bin boundaries, scalar and GROUP BY") {
+    val rng = new Random(4)
+    val h = new Digest
+    for (_ <- 0 until 3000) {
+      val i = rng.nextInt(d)
+      h.answer(engine.run(Query(AggFn.all(rng.nextInt(AggFn.all.length)), specs(i).name, Some(boundaryWhere(rng, i)))))
+    }
+    for (_ <- 0 until 300) {
+      val i = rng.nextInt(d)
+      h.group(engine.runGroupBy(
+        Query(AggFn.all(rng.nextInt(AggFn.all.length)), specs(i).name, Some(boundaryWhere(rng, i)), Some("cat"))))
+    }
+    assert(h.hashes == (
+      "4d6a158c22009f92a066ed22800a1d233bca4e8b3f1a174921da195593bc9e57",
+      "2a37b6abadfe13842d03073a719f0d3e2cd5be59371fec8c648b99e9e6ba4b11"))
   }
 }
