@@ -159,30 +159,52 @@ object Coverage {
     *  - point (equality) overlap only          -> (#points covered)/u
     *  - otherwise                              -> covered fraction of span
     *
-    * Only the fractional bins get bounds (Eqs 22–23).
+    * Only the bins that hold an end of an interval of `set` go through that
+    * analysis ([[binCoverage]]), each once, against the whole set; only the
+    * fractional ones get bounds (Eqs 22–23). The search relies on every
+    * non-empty bin `t` holding its data within its own edges,
+    * `binOf(edges, vMin(t)) == t == binOf(edges, vMax(t))` (checked by
+    * `new Engine`): then a bin strictly between the ends of one interval
+    * lies inside it, so it is 1 if it holds data and 0 if it is empty, and
+    * a bin beyond every interval's end bins is 0 and never visited.
     */
   def sparse(set: IntervalSet, meta: DimMeta, m: Long, alpha: Double): SparseVec = {
     val k = meta.k
+    val edges = meta.edges
+    // Each interval has at most two end bins, so at most two fractional bins.
+    val cap = math.min(k, 2 * set.ivs.length)
     val runLo = new Array[Int]((k + 1) / 2)
     val runHi = new Array[Int]((k + 1) / 2)
-    val at = new Array[Int](k)
-    val est = new Array[Double](k)
-    val lo = new Array[Double](k)
-    val hi = new Array[Double](k)
+    val at = new Array[Int](cap)
+    val est = new Array[Double](cap)
+    val lo = new Array[Double](cap)
+    val hi = new Array[Double](cap)
     var nRuns = 0
     var nFrac = 0
-    var t = 0
-    while (t < k) {
-      val b = binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t))
-      if (b == 1.0) {
-        if (nRuns > 0 && runHi(nRuns - 1) == t) runHi(nRuns - 1) = t + 1
-        else { runLo(nRuns) = t; runHi(nRuns) = t + 1; nRuns += 1 }
-      } else if (b != 0.0) {
-        val (bl, bh) = Theorems.coverageBounds(b, meta.counts(t), meta.unique(t), m, alpha)
-        at(nFrac) = t; est(nFrac) = b; lo(nFrac) = bl; hi(nFrac) = bh
-        nFrac += 1
+    var next = 0 // every bin below has been emitted
+    var rest = set.ivs
+    while (rest.nonEmpty) {
+      val tA = DimMeta.binOf(edges, rest.head._1)
+      val tB = DimMeta.binOf(edges, rest.head._2)
+      // A bin an earlier interval ends in was evaluated against the whole set.
+      var t = math.max(tA, next)
+      while (t <= tB) {
+        val b =
+          if (t == tA || t == tB) binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t))
+          else if (meta.unique(t) > 0) 1.0
+          else 0.0
+        if (b == 1.0) {
+          if (nRuns > 0 && runHi(nRuns - 1) == t) runHi(nRuns - 1) = t + 1
+          else { runLo(nRuns) = t; runHi(nRuns) = t + 1; nRuns += 1 }
+        } else if (b != 0.0) {
+          val (bl, bh) = Theorems.coverageBounds(b, meta.counts(t), meta.unique(t), m, alpha)
+          at(nFrac) = t; est(nFrac) = b; lo(nFrac) = bl; hi(nFrac) = bh
+          nFrac += 1
+        }
+        t += 1
       }
-      t += 1
+      next = tB + 1
+      rest = rest.tail
     }
     new SparseVec(k, runLo, runHi, nRuns, at, est, lo, hi, nFrac)
   }

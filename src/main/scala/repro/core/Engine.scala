@@ -27,24 +27,35 @@ final class Engine(ph: PairwiseHist) {
     Array.tabulate(ph.d)(i => ph.hist1d(i).meta.centreBounds(ph.m, ph.alpha))
 
   /** A pair histogram seen from its aggregation column: `pred` is the
-    * predicate dimension, `cum` has one row per aggregation-dimension bin
-    * holding that row's cumulative counts (`cum(ta)(tp)` is the sum of the
-    * row's first `tp` cells, so a cell is `cum(ta)(tp + 1) - cum(ta)(tp)`),
-    * and `parent` maps each of those bins to its 1-d bin.
+    * predicate dimension, `cum` its prefix sums in [[Engine.prefixSums]]'s
+    * predicate-edge-major layout (entry `tp * kAgg + ta` is the sum of the
+    * first `tp` cells of aggregation bin `ta`), and `parent` maps each
+    * aggregation-dimension bin to its 1-d bin.
     */
-  private final class PairView(val pred: DimMeta, val cum: Array[Array[Long]], val parent: Array[Int])
+  private final class PairView(val pred: DimMeta, val cum: Array[Long], val parent: Array[Int])
 
-  // One view per (aggregation column, predicate column): row prefix sums of
-  // the stored matrix for column I, column prefix sums of it for column J.
-  // Built once, so the engine holds no mutable state and can be shared
-  // across threads.
-  private val views: Map[(Int, Int), PairView] =
-    ph.hist2d.valuesIterator.flatMap { h =>
-      Seq(
-        (h.colI, h.colJ) -> new PairView(h.metaJ, Engine.rowPrefixSums(h.counts), h.metaI.parents(ph.hist1d(h.colI).meta)),
-        (h.colJ, h.colI) -> new PairView(h.metaI, Engine.columnPrefixSums(h.counts, h.metaJ.k), h.metaJ.parents(ph.hist1d(h.colJ).meta))
-      )
-    }.toMap
+  // Coverage.sparse searches bins by their edges; that needs every bin's
+  // data within its own edges. Decoded bytes are input, so check it here.
+  ph.hist1d.foreach(h => Engine.requireDataWithinEdges(h.meta, s"1-d histogram of ${ph.specs(h.col).name}"))
+  ph.hist2d.valuesIterator.foreach { h =>
+    val pair = s"pair (${ph.specs(h.colI).name}, ${ph.specs(h.colJ).name})"
+    Engine.requireDataWithinEdges(h.metaI, s"$pair, dimension ${ph.specs(h.colI).name}")
+    Engine.requireDataWithinEdges(h.metaJ, s"$pair, dimension ${ph.specs(h.colJ).name}")
+  }
+
+  // One view per (aggregation column i, predicate column j), at i * d + j;
+  // the stored matrix's rows are column I's bins. Built once, so the engine
+  // holds no mutable state and can be shared across threads.
+  private val views: Array[PairView] = {
+    val v = new Array[PairView](ph.d * ph.d)
+    ph.hist2d.valuesIterator.foreach { h =>
+      v(h.colI * ph.d + h.colJ) = new PairView(
+        h.metaJ, Engine.prefixSums(h.counts, h.metaJ.k, aggOnRows = true), h.metaI.parents(ph.hist1d(h.colI).meta))
+      v(h.colJ * ph.d + h.colI) = new PairView(
+        h.metaI, Engine.prefixSums(h.counts, h.metaJ.k, aggOnRows = false), h.metaJ.parents(ph.hist1d(h.colJ).meta))
+    }
+    v
+  }
 
   def run(q: Query): Option[AqpResult] = {
     require(q.groupBy.isEmpty, "use runGroupBy for GROUP BY queries")
@@ -148,7 +159,8 @@ final class Engine(ph: PairwiseHist) {
     val meta1 = ph.hist1d(i).meta
     if (i == j) Coverage.coverage(set, meta1, ph.m, ph.alpha)
     else {
-      val view = views.getOrElse((i, j), throw new IllegalStateException(s"missing pair histogram ($i,$j)"))
+      val view = views(i * ph.d + j)
+      if (view == null) throw new IllegalStateException(s"missing pair histogram ($i,$j)")
       // nu = H^(ij) beta over the pair's refined aggregation bins, each
       // summed onto its parent 1-d bin, then divided by the 1-d counts.
       val k = meta1.k
@@ -156,14 +168,18 @@ final class Engine(ph: PairwiseHist) {
       val lo = new Array[Double](k)
       val hi = new Array[Double](k)
       Engine.addPairProducts(view.cum, view.parent, Coverage.sparse(set, view.pred, ph.m, ph.alpha), est, lo, hi)
+      // Clamped to [0, 1] by comparisons, which equal math.min(1, max(0, x))
+      // on every input but NaN, and none arrives: h > 0 and nu is a finite
+      // sum of non-negative terms.
+      def clamp(x: Double) = if (x > 1.0) 1.0 else if (x > 0.0) x else 0.0
       var t = 0
       while (t < k) {
         val h = meta1.counts(t)
         if (h <= 0) { est(t) = 0.0; lo(t) = 0.0; hi(t) = 0.0 }
         else {
-          est(t) = math.min(1.0, math.max(0.0, est(t) / h))
-          lo(t) = math.min(1.0, math.max(0.0, lo(t) / h))
-          hi(t) = math.min(1.0, math.max(0.0, hi(t) / h))
+          est(t) = clamp(est(t) / h)
+          lo(t) = clamp(lo(t) / h)
+          hi(t) = clamp(hi(t) / h)
         }
         t += 1
       }
@@ -381,68 +397,92 @@ final class Engine(ph: PairwiseHist) {
 
 private[core] object Engine {
 
-  /** Cumulative counts of each row of `m`: entry `tp` of row `ta` is the
-    * sum of `m(ta)(0 until tp)`, so the row has one entry more than `m(ta)`.
+  /** Prefix sums of the count matrix `m` (`cols` columns) along its
+    * predicate dimension, predicate-edge-major: with `aggOnRows` the
+    * aggregation dimension is `m`'s rows (`kAgg = m.length`), else its
+    * columns (`kAgg = cols`). Entry `tp * kAgg + ta`, for `tp` in
+    * `0 to kPred`, is the sum of the cells of aggregation bin `ta` in
+    * predicate bins `0 until tp`, so one run of predicate bins reads two
+    * contiguous rows of `kAgg` entries.
     */
-  def rowPrefixSums(m: Array[Array[Long]]): Array[Array[Long]] =
-    m.map { row =>
-      val c = new Array[Long](row.length + 1)
-      var tp = 0
-      while (tp < row.length) { c(tp + 1) = c(tp) + row(tp); tp += 1 }
-      c
+  def prefixSums(m: Array[Array[Long]], cols: Int, aggOnRows: Boolean): Array[Long] = {
+    val kAgg = if (aggOnRows) m.length else cols
+    val kPred = if (aggOnRows) cols else m.length
+    val p = new Array[Long]((kPred + 1) * kAgg)
+    var tp = 0
+    while (tp < kPred) {
+      var ta = 0
+      while (ta < kAgg) {
+        p((tp + 1) * kAgg + ta) = p(tp * kAgg + ta) + (if (aggOnRows) m(ta)(tp) else m(tp)(ta))
+        ta += 1
+      }
+      tp += 1
     }
+    p
+  }
 
-  /** Cumulative counts of each column of `m` (`cols` columns), read straight
-    * from the stored rows: row `tj` of the result is `rowPrefixSums` of the
-    * transposed matrix's row `tj`.
+  /** Rejects metadata with a non-empty bin whose data does not lie within
+    * its own edges, `binOf(edges, vMin(t)) == t == binOf(edges, vMax(t))`
+    * inside `[edges(0), edges(k)]`, which [[Coverage.sparse]] relies on.
+    *
+    * @throws IllegalArgumentException naming `what` and the bin
     */
-  def columnPrefixSums(m: Array[Array[Long]], cols: Int): Array[Array[Long]] = {
-    val c = Array.ofDim[Long](cols, m.length + 1)
-    var ti = 0
-    while (ti < m.length) {
-      val row = m(ti)
-      var tj = 0
-      while (tj < cols) { c(tj)(ti + 1) = c(tj)(ti) + row(tj); tj += 1 }
-      ti += 1
+  def requireDataWithinEdges(meta: DimMeta, what: => String): Unit = {
+    val e = meta.edges
+    val k = meta.k
+    var t = 0
+    while (t < k) {
+      val a = meta.vMin(t)
+      val b = meta.vMax(t)
+      if (meta.unique(t) > 0 &&
+          !(a >= e(0) && b <= e(k) && DimMeta.binOf(e, a) == t && DimMeta.binOf(e, b) == t))
+        throw new IllegalArgumentException(
+          s"$what: bin $t holds values [$a, $b] outside its edges [${e(t)}, ${e(t + 1)}${if (t == k - 1) "]" else ")"}")
+      t += 1
     }
-    c
   }
 
   /** Eq 27's products for an estimate and its two bounds in one pass: for
-    * every row `ta` of the count matrix whose cumulative rows are `cum`,
-    * adds `nu = sum over tp of cell(ta, tp) * beta(tp)` onto
+    * every aggregation bin `ta` of the count matrix whose prefix sums are
+    * `cum` (laid out by [[prefixSums]], with `kAgg = parent.length`), adds
+    * `nu = sum over tp of cell(ta, tp) * beta(tp)` onto
     * `outEst(parent(ta))`, and likewise with `beta`'s bounds onto `outLo`
     * and `outHi`.
     *
     * Summation order: the cells of `beta`'s runs of ones are summed first,
     * each run as one difference of prefix sums, in `Long`, which is exact;
     * the fractional terms `cell * beta(tp)` are then added onto that
-    * integer in ascending `tp`, so only they round. The three sums share
-    * the integer part, as the three vectors share their runs.
+    * integer in ascending `tp`, so only they round; the bins are added onto
+    * their parents in ascending `ta`. The three sums share the integer
+    * part, as the three vectors share their runs.
     */
   def addPairProducts(
-      cum: Array[Array[Long]], parent: Array[Int], beta: Coverage.SparseVec,
+      cum: Array[Long], parent: Array[Int], beta: Coverage.SparseVec,
       outEst: Array[Double], outLo: Array[Double], outHi: Array[Double]
   ): Unit = {
-    val runLo = beta.runLo
-    val runHi = beta.runHi
+    val kAgg = parent.length
+    val ones = new Array[Long](kAgg)
+    var r = 0
+    while (r < beta.nRuns) {
+      val below = beta.runLo(r) * kAgg
+      val upTo = beta.runHi(r) * kAgg
+      var ta = 0
+      while (ta < kAgg) { ones(ta) += cum(upTo + ta) - cum(below + ta); ta += 1 }
+      r += 1
+    }
     val at = beta.at
     val est = beta.est
     val lo = beta.lo
     val hi = beta.hi
     var ta = 0
-    while (ta < cum.length) {
-      val c = cum(ta)
-      var ones = 0L
-      var r = 0
-      while (r < beta.nRuns) { ones += c(runHi(r)) - c(runLo(r)); r += 1 }
-      var e = ones.toDouble
+    while (ta < kAgg) {
+      var e = ones(ta).toDouble
       var l = e
       var h = e
       var q = 0
       while (q < beta.nFrac) {
-        val t = at(q)
-        val cell = (c(t + 1) - c(t)).toDouble
+        val row = at(q) * kAgg + ta
+        val cell = (cum(row + kAgg) - cum(row)).toDouble
         e += cell * est(q)
         l += cell * lo(q)
         h += cell * hi(q)

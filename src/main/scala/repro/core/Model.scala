@@ -139,8 +139,12 @@ final case class PairwiseHist(
   def pair(a: Int, b: Int): Option[Hist2D] =
     hist2d.get((math.max(a, b), math.min(a, b)))
 
+  // Each name's first index, as `indexWhere` would find it.
+  private val columnIndices: Map[String, Int] =
+    specs.indices.reverseIterator.map(i => specs(i).name -> i).toMap
+
   def columnIndex(name: String): Int = {
-    val i = specs.indexWhere(_.name == name)
+    val i = columnIndices.getOrElse(name, -1)
     require(i >= 0, s"unknown column '$name' (have ${specs.map(_.name).mkString(",")})")
     i
   }

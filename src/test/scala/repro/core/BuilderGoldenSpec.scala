@@ -16,8 +16,8 @@ import scala.util.Random
   * The first three samples are the frames of DistributedBuilderGoldenSpec,
   * drawn in the same RNG order with the same column names, so both entry
   * points must reproduce the same constants. Each synopsis must also equal
-  * its decoded copy field by field, and its size breakdown must sum to the
-  * encoded size.
+  * its decoded copy field by field, its size breakdown must sum to the
+  * encoded size, and an engine must accept both.
   */
 class BuilderGoldenSpec extends AnyFunSuite {
 
@@ -109,8 +109,12 @@ class BuilderGoldenSpec extends AnyFunSuite {
                    seeds: Map[Int, Array[Double]] = Map.empty): String = {
     val ph = Builder.build(sample, specs(names), 120000L, m, 0.001, seeds)
     val bytes = Codec.encode(ph)
-    assertSameSynopsis(ph, Codec.decode(bytes))
+    val decoded = Codec.decode(bytes)
+    assertSameSynopsis(ph, decoded)
     assert(Codec.measure(ph).total == bytes.length)
+    // Both hold every bin's data within its edges, as the engine checks.
+    new Engine(ph)
+    new Engine(decoded)
     sha256(bytes)
   }
 

@@ -1,5 +1,6 @@
 package repro.core
 
+import org.scalacheck.{Gen, Prop, Test}
 import org.scalatest.funsuite.AnyFunSuite
 
 class CoverageSpec extends AnyFunSuite {
@@ -148,5 +149,109 @@ class CoverageSpec extends AnyFunSuite {
         assert((sv.est(q), sv.lo(q), sv.hi(q)) == ((want(frac(q)), lo, hi)), s"$set bin ${frac(q)}")
       }
     }
+  }
+
+  // ------------------------------------- sparse against every-bin reference ----
+
+  /** Metadata over 1–12 bins whose edges may be fractional and whose bins
+    * may be empty (extrema on the edges, as the builders leave them); every
+    * non-empty bin holds its data within its own edges, as the engine
+    * requires.
+    */
+  private val metaGen: Gen[DimMeta] = for {
+    k <- Gen.choose(1, 12)
+    start <- Gen.choose(-30, 30)
+    startFrac <- Gen.oneOf(0.0, 0.5, 0.25)
+    widths <- Gen.listOfN(k, Gen.oneOf(Gen.choose(1, 25).map(_.toDouble), Gen.oneOf(0.5, 1.5, 2.5, 3.75)))
+    picks <- Gen.listOfN(k, for {
+      empty <- Gen.frequency(1 -> true, 3 -> false)
+      a <- Gen.choose(0.0, 1.0)
+      b <- Gen.choose(0.0, 1.0)
+      u <- Gen.choose(0.0, 1.0)
+      c <- Gen.choose(0L, 500L)
+    } yield (empty, a, b, u, c))
+  } yield {
+    val edges = widths.scanLeft(start + startFrac)(_ + _).toArray
+    val vMin = new Array[Double](k)
+    val vMax = new Array[Double](k)
+    val unique = new Array[Long](k)
+    val counts = new Array[Long](k)
+    for (t <- 0 until k) {
+      val (empty, a, b, u, c) = picks(t)
+      // The integers of [edges(t), edges(t + 1)), closed for the last bin.
+      val first = math.ceil(edges(t))
+      val last = if (t == k - 1) math.floor(edges(t + 1)) else math.ceil(edges(t + 1)) - 1
+      if (empty || first > last) { vMin(t) = edges(t); vMax(t) = edges(t + 1) }
+      else {
+        val x = first + math.floor(a * (last - first + 1)).min(last - first)
+        val y = first + math.floor(b * (last - first + 1)).min(last - first)
+        vMin(t) = math.min(x, y); vMax(t) = math.max(x, y)
+        val span = (vMax(t) - vMin(t)).toLong
+        unique(t) = if (span == 0) 1L else 2L + math.floor(u * span).toLong.min(span - 1)
+        counts(t) = unique(t) + c
+      }
+    }
+    DimMeta(edges, vMin, vMax, unique, counts)
+  }
+
+  /** A literal for `meta`: an edge, a bin's extremum, one either side of
+    * them, a point inside a bin, a fraction, or a value beyond the edges.
+    */
+  private def literalGen(meta: DimMeta): Gen[Double] = {
+    val k = meta.k
+    Gen.choose(0, k - 1).flatMap { t =>
+      Gen.oneOf(
+        Gen.const(meta.edges(t)), Gen.const(meta.edges(t + 1)),
+        Gen.const(meta.vMin(t)), Gen.const(meta.vMax(t)),
+        Gen.oneOf(meta.vMin(t) - 1, meta.vMax(t) + 1, meta.edges(t) - 1, meta.edges(t + 1) + 1),
+        Gen.choose(meta.vMin(t), meta.vMax(t)).map(math.rint),
+        Gen.choose(meta.edges(0) - 5, meta.edges(k) + 5).map(x => math.floor(x * 4) / 4),
+        Gen.oneOf(meta.edges(0) - 40, meta.edges(k) + 40, IntervalSet.NegInf, IntervalSet.PosInf)
+      )
+    }
+  }
+
+  /** An interval set as the engine builds one: one to four conditions on
+    * literals of `meta`, intersected or united, so points, `<>`, several
+    * intervals in one bin and the empty and full sets all occur.
+    */
+  private def setGen(meta: DimMeta): Gen[IntervalSet] = for {
+    n <- Gen.choose(1, 4)
+    conds <- Gen.listOfN(n, for {
+      op <- Gen.oneOf(Op.Lt, Op.Le, Op.Gt, Op.Ge, Op.Eq, Op.Ne)
+      v <- literalGen(meta)
+    } yield IntervalSet.ofCond(op, v))
+    and <- Gen.oneOf(true, false)
+  } yield conds.reduce((x, y) => if (and) x intersect y else x union y)
+
+  test("sparse equals the per-bin binCoverage reference, with maximal runs and ascending fractional bins") {
+    val gen = for {
+      meta <- metaGen
+      set <- setGen(meta)
+      m <- Gen.oneOf(1L, 20L, 200L)
+    } yield (meta, set, m)
+    val prop = Prop.forAllNoShrink(gen) { case (meta, set, m) =>
+      val sv = Coverage.sparse(set, meta, m, 0.001)
+      val want = (0 until meta.k).map(t => Coverage.binCoverage(set, meta.vMin(t), meta.vMax(t), meta.unique(t)))
+      val runs = (0 until sv.nRuns).map(r => (sv.runLo(r), sv.runHi(r)))
+      val frac = (0 until sv.nFrac).map(sv.at)
+      val wantFrac = want.indices.filter(t => want(t) != 0.0 && want(t) != 1.0)
+      val boundsOk = frac.indices.forall { q =>
+        val t = frac(q)
+        val (lo, hi) = Theorems.coverageBounds(want(t), meta.counts(t), meta.unique(t), m, 0.001)
+        sv.est(q) == want(t) && sv.lo(q) == lo && sv.hi(q) == hi
+      }
+      Prop(
+        sv.k == meta.k &&
+          runs.flatMap { case (a, b) => a until b } == want.indices.filter(want(_) == 1.0) &&
+          runs.forall { case (a, b) => a < b } &&
+          runs.zip(runs.drop(1)).forall { case ((_, b), (a, _)) => b < a } &&
+          frac == wantFrac && boundsOk
+      ) :| s"set ${set.ivs}; edges ${meta.edges.mkString(",")}; vMin ${meta.vMin.mkString(",")}; " +
+        s"vMax ${meta.vMax.mkString(",")}; unique ${meta.unique.mkString(",")}; want ${want.mkString(",")}; " +
+        s"runs $runs; frac $frac"
+    }
+    val res = Test.check(Test.Parameters.default.withMinSuccessfulTests(3000).withInitialSeed(15L), prop)
+    assert(res.passed, res.status.toString)
   }
 }

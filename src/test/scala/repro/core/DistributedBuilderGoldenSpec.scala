@@ -14,8 +14,8 @@ import scala.util.Random
   * frames. The frames are generated on the driver, so they do not depend on
   * how many partitions Spark uses. A change to the builder that alters any
   * edge, count or metadata value changes a hash here. Each synopsis must
-  * also equal its decoded copy field by field, and its size breakdown must
-  * sum to the encoded size.
+  * also equal its decoded copy field by field, its size breakdown must sum
+  * to the encoded size, and an engine must accept both.
   */
 class DistributedBuilderGoldenSpec extends SparkSpec {
 
@@ -58,8 +58,12 @@ class DistributedBuilderGoldenSpec extends SparkSpec {
                    seeds: Map[Int, Array[Double]] = Map.empty): String = {
     val ph = DistributedBuilder.build(df, specs(names: _*), 120000L, m, 0.001, seeds)
     val bytes = Codec.encode(ph)
-    assertSameSynopsis(ph, Codec.decode(bytes))
+    val decoded = Codec.decode(bytes)
+    assertSameSynopsis(ph, decoded)
     assert(Codec.measure(ph).total == bytes.length)
+    // Both hold every bin's data within its edges, as the engine checks.
+    new Engine(ph)
+    new Engine(decoded)
     sha256(bytes)
   }
 

@@ -318,6 +318,17 @@ class EngineSpec extends AnyFunSuite {
     }
   }
 
+  test("an engine rejects a pair dimension whose bin holds a value on its upper edge") {
+    val ((i, j), h) = ph.hist2d.head
+    val t = (0 until h.metaI.k - 1).find(h.metaI.unique(_) > 0).get
+    val vMax = h.metaI.vMax.clone()
+    vMax(t) = h.metaI.edges(t + 1)
+    val bad = ph.copy(hist2d = ph.hist2d + ((i, j) -> h.copy(metaI = h.metaI.copy(vMax = vMax))))
+    val e = intercept[IllegalArgumentException](new Engine(bad))
+    assert(e.getMessage.contains(s"dimension ${specs(h.colI).name}"), e.getMessage)
+    assert(e.getMessage.contains(s"bin $t "), e.getMessage)
+  }
+
   test("GROUP BY on non-categorical column is rejected") {
     val q = Query(AggFn.Count, "x", None, groupBy = Some("y"))
     intercept[IllegalArgumentException](engine.runGroupBy(q))

@@ -52,6 +52,8 @@ class ModelSpec extends AnyFunSuite {
     assert(ph.pair(0, 1).get eq ph.pair(1, 0).get)
     assert(ph.columnIndex("b") == 1)
     intercept[IllegalArgumentException](ph.columnIndex("zzz"))
+    // A repeated name resolves to its first column, as indexWhere finds it.
+    assert(ph.copy(specs = Array(spec("b"), spec("b"))).columnIndex("b") == 0)
     assert(ph.rho == 0.1)
     assert(ph.d == 2)
   }

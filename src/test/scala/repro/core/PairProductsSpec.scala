@@ -36,7 +36,8 @@ class PairProductsSpec extends AnyFunSuite {
   private def kernel(counts: Array[Array[Long]], parent: Array[Int], k1: Int, beta: Array[Double],
                      lo: Array[Double], hi: Array[Double]): Seq[Array[Double]] = {
     val out = Seq.fill(3)(new Array[Double](k1))
-    Engine.addPairProducts(Engine.rowPrefixSums(counts), parent, sparseOf(beta, lo, hi), out(0), out(1), out(2))
+    val cum = Engine.prefixSums(counts, beta.length, aggOnRows = true)
+    Engine.addPairProducts(cum, parent, sparseOf(beta, lo, hi), out(0), out(1), out(2))
     out
   }
 
@@ -191,15 +192,32 @@ class PairProductsSpec extends AnyFunSuite {
     })
   }
 
-  test("columnPrefixSums equals rowPrefixSums of the transposed matrix") {
+  test("either orientation's prefix sums equal the other's built from the transposed matrix") {
     val gen = for {
       cols <- Gen.choose(1, 20)
       m <- matrix(cols)
     } yield (m._1, cols)
     check(Prop.forAllNoShrink(gen) { case (counts, cols) =>
-      val viaT = Engine.rowPrefixSums(counts.transpose)
-      val direct = Engine.columnPrefixSums(counts, cols)
-      direct.length == cols && direct.indices.forall(t => direct(t).sameElements(viaT(t)))
+      val t = counts.transpose
+      val byCols = Engine.prefixSums(counts, cols, aggOnRows = false)
+      val byRows = Engine.prefixSums(counts, cols, aggOnRows = true)
+      Prop(byCols.length == (counts.length + 1) * cols &&
+        byCols.sameElements(Engine.prefixSums(t, counts.length, aggOnRows = true)) &&
+        byRows.sameElements(Engine.prefixSums(t, counts.length, aggOnRows = false)))
+    })
+  }
+
+  test("prefix sums are predicate-edge-major: entry tp * kAgg + ta sums the first tp cells of bin ta") {
+    val gen = for {
+      cols <- Gen.choose(1, 20)
+      m <- matrix(cols)
+    } yield (m._1, cols)
+    check(Prop.forAllNoShrink(gen) { case (counts, cols) =>
+      val p = Engine.prefixSums(counts, cols, aggOnRows = true)
+      val kAgg = counts.length
+      Prop(p.length == (cols + 1) * kAgg && (0 to cols).forall { tp =>
+        (0 until kAgg).forall(ta => p(tp * kAgg + ta) == counts(ta).take(tp).sum)
+      })
     })
   }
 }
