@@ -38,12 +38,19 @@ final case class ColumnSpec(name: String, kind: ColKind, nullCount: Long) {
     */
   def toGd(literal: Any): Double = kind match {
     case NumericCol(scale, minScaled) =>
-      val v = literal match {
-        case n: Number => n.doubleValue
-        case s: String => s.toDouble
+      def rounded(v: Double) = math.rint(v * scale) - minScaled
+      literal match {
+        // An integral literal is shifted exactly in Long, as `Preprocess.apply`
+        // shifts integral columns (a double holds integers only up to 2^53),
+        // unless the product or the difference leaves a Long.
+        case n @ (_: java.lang.Long | _: java.lang.Integer | _: java.lang.Short | _: java.lang.Byte) =>
+          val x = n.asInstanceOf[Number].longValue
+          try Math.subtractExact(Math.multiplyExact(x, scale), minScaled).toDouble
+          catch { case _: ArithmeticException => rounded(x.toDouble) }
+        case n: Number => rounded(n.doubleValue)
+        case s: String => rounded(s.toDouble)
         case other     => throw new IllegalArgumentException(s"bad literal $other for numeric $name")
       }
-      math.rint(v * scale) - minScaled
     case c: CategoricalCol => c.code(literal.toString).toDouble
   }
 

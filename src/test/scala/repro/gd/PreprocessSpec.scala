@@ -78,6 +78,32 @@ class PreprocessSpec extends SparkSpec {
     }
   }
 
+  test("toGd shifts integral literals exactly above 2^53") {
+    val base = 1L << 60
+    val spec = ColumnSpec("x", NumericCol(1, base), 0)
+    // (2^60 + 3).toDouble is 2^60: the old double path gave GD 0.
+    assert(spec.toGd(base + 3) == 3.0)
+    assert(spec.toGd(base + 7) == 7.0)
+    assert(spec.toGd((base + 3).toDouble) == 0.0) // a double literal keeps its rounding
+    assert(spec.toGd(5) == 5.0 - base)
+    // Out of a Long: the double path.
+    assert(ColumnSpec("y", NumericCol(1000, -5), 0).toGd(Long.MaxValue) == math.rint(Long.MaxValue.toDouble * 1000) + 5)
+    assert(ColumnSpec("z", NumericCol(1, Long.MinValue + 1), 0).toGd(Long.MaxValue) == Long.MaxValue.toDouble - (Long.MinValue + 1))
+  }
+
+  test("COUNT on a Long column above 2^53 counts the rows at and above an integral literal") {
+    val base = 1L << 60
+    val raw = spark.createDataFrame(
+      spark.sparkContext.parallelize(Seq(Row(base), Row(base + 3), Row(base + 7))),
+      StructType(Seq(StructField("x", LongType, nullable = false))))
+    val pre = Preprocess.run(raw)
+    assert(pre.specs(0).kind == NumericCol(1, base))
+    val gd = pre.df.collect().map(_.getLong(0).toDouble)
+    val ph = repro.core.Builder.build(Array(gd), pre.specs, 3L, m = 2, alpha = 0.001)
+    val q = repro.core.Query(repro.core.AggFn.Count, "x", Some(repro.core.Cond("x", repro.core.Op.Ge, base + 3)))
+    assert(new repro.core.Engine(ph).run(q).map(_.estimate).contains(2.0))
+  }
+
   test("toGd maps categorical literals to dictionary codes") {
     val spec = result.specs(2)
     val CategoricalCol(dict) = spec.kind: @unchecked
