@@ -192,18 +192,26 @@ class PairProductsSpec extends AnyFunSuite {
     })
   }
 
-  test("either orientation's prefix sums equal the other's built from the transposed matrix") {
+  /** The two orientations of [[Engine.prefixSums]]: aggregation bins are the
+    * matrix's rows, or its columns.
+    */
+  private def rowPrefixSums(m: Array[Array[Long]], cols: Int): Array[Long] =
+    Engine.prefixSums(m, cols, aggOnRows = true)
+  private def columnPrefixSums(m: Array[Array[Long]], cols: Int): Array[Long] =
+    Engine.prefixSums(m, cols, aggOnRows = false)
+
+  test("columnPrefixSums equals rowPrefixSums of the transposed matrix") {
     val gen = for {
       cols <- Gen.choose(1, 20)
       m <- matrix(cols)
     } yield (m._1, cols)
     check(Prop.forAllNoShrink(gen) { case (counts, cols) =>
       val t = counts.transpose
-      val byCols = Engine.prefixSums(counts, cols, aggOnRows = false)
-      val byRows = Engine.prefixSums(counts, cols, aggOnRows = true)
+      val byCols = columnPrefixSums(counts, cols)
+      val byRows = rowPrefixSums(counts, cols)
       Prop(byCols.length == (counts.length + 1) * cols &&
-        byCols.sameElements(Engine.prefixSums(t, counts.length, aggOnRows = true)) &&
-        byRows.sameElements(Engine.prefixSums(t, counts.length, aggOnRows = false)))
+        byCols.sameElements(rowPrefixSums(t, counts.length)) &&
+        byRows.sameElements(columnPrefixSums(t, counts.length)))
     })
   }
 
