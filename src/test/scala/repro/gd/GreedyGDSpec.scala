@@ -1,9 +1,12 @@
 package repro.gd
 
 import org.apache.spark.SparkJobCounter
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types.LongType
 import repro.SparkSpec
+import repro.util.ColumnName.quote
 
 class GreedyGDSpec extends SparkSpec {
 
@@ -87,13 +90,13 @@ class GreedyGDSpec extends SparkSpec {
     }
   }
 
+  private lazy val allBaseSource =
+    spark.range(1000).select(((col("id") * 7) % 1000).as("x"), (col("id") % 10).as("y"))
+
   /** Every bit in the base, so the base table is the distinct rows: column
     * x has 1000 distinct bases, y has 10.
     */
-  private lazy val allBase = {
-    val df = spark.range(1000).select(((col("id") * 7) % 1000).as("x"), (col("id") % 10).as("y"))
-    GreedyGD.compress(df, GreedyGD.Config(Array(0, 0), Array(10, 4)), 1000L)
-  }
+  private lazy val allBase = GreedyGD.compress(allBaseSource, GreedyGD.Config(Array(0, 0), Array(10, 4)), 1000L)
 
   test("a cap below the distinct count keeps exactly cap values, evenly spaced in rank") {
     val full = GreedyGD.baseValues(allBase, "x")
@@ -123,5 +126,62 @@ class GreedyGDSpec extends SparkSpec {
     val (seeds, jobs) = SparkJobCounter(spark)(GreedyGD.seeds(c, specs))
     assert(seeds.keySet == specs.indices.toSet)
     assert(jobs <= 1, s"jobs=$jobs")
+  }
+
+  /** Reference: the base table as a Spark `distinct` of the masked, +1-shifted
+    * rows, and the capped seeds from it by one window query, as GreedyGD
+    * computed both before its base dictionary came from one row pass.
+    */
+  private object DistinctBases {
+    def table(df: DataFrame, config: GreedyGD.Config): DataFrame =
+      df.select(df.columns.toIndexedSeq.zipWithIndex.map { case (c, i) =>
+        coalesce(col(quote(c)) + 1L, lit(0L)).bitwiseAND(lit(config.baseMask(i))).as(c)
+      }: _*).distinct()
+
+    def seeds(bases: DataFrame, cap: Int): Map[String, Array[Double]] = {
+      val cols = bases.columns.filterNot(_ == "gd_base_id")
+      val byIdx = Window.partitionBy("idx").orderBy("v")
+      val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+      val picked = bases
+        .select(explode(array(cols.zipWithIndex.map { case (c, i) =>
+          struct(lit(i).as("idx"), col(quote(c)).as("v"))
+        }.toIndexedSeq: _*)).as("e"))
+        .select("e.idx", "e.v")
+        .filter(col("v") > 0L)
+        .repartition(col("idx"))
+        .distinct()
+        .withColumn("r", row_number().over(byIdx) - 1L)
+        .withColumn("n", count(lit(1)).over(wholeIdx))
+        .filter(col("n") <= cap || col("r") === 0L || expr(s"(r * $cap) div n > ((r - 1) * $cap) div n"))
+        .select("idx", "v")
+        .collect()
+      val byCol = picked.groupBy(_.getInt(0))
+      cols.indices.map { i =>
+        val shifted = byCol.getOrElse(i, Array.empty).map(_.getLong(1)).sorted
+        cols(i) -> shifted.map(v => (v - 1L).toDouble)
+      }.toMap
+    }
+  }
+
+  test("nBases, ratio and baseValues equal the distinct-plus-window reference in 1 and 7 partitions") {
+    val cases: Seq[(String, DataFrame, DataFrame => GreedyGD.Compressed)] = Seq(
+      ("run", gdDf, f => GreedyGD.run(f, sampleRows = 5000)),
+      ("fine bases", gdDf, f => GreedyGD.compress(f, GreedyGD.Config(Array(2, 1, 0), Array(12, 10, 6)), f.count())),
+      ("all base", allBaseSource, f => GreedyGD.compress(f, GreedyGD.Config(Array(0, 0), Array(10, 4)), f.count()))
+    )
+    for ((name, source, compress) <- cases; parts <- Seq(1, 7)) {
+      val frame = source.repartition(parts)
+      val c = compress(frame)
+      val table = DistinctBases.table(frame, c.config)
+      val nBases = table.count()
+      assert(c.nBases == nBases, s"$name parts=$parts")
+      assert(c.nRows == frame.count(), s"$name parts=$parts")
+      assert(c.ratio == c.originalBytes.toDouble / c.config.storageBytes(nBases, c.nRows), s"$name parts=$parts")
+      for (cap <- Seq(7, 64, GreedyGD.SeedCap)) {
+        val want = DistinctBases.seeds(table, cap)
+        for (column <- frame.columns)
+          assert(GreedyGD.baseValues(c, column, cap).toSeq == want(column).toSeq, s"$name parts=$parts cap=$cap $column")
+      }
+    }
   }
 }

@@ -1,10 +1,14 @@
 package repro.gd
 
 import org.apache.spark.SparkJobCounter
-import org.apache.spark.sql.{DataFrame, Row}
+import org.apache.spark.sql.{Column, DataFrame, Row}
+import org.apache.spark.sql.expressions.Window
 import org.apache.spark.sql.functions._
 import org.apache.spark.sql.types._
+import org.scalacheck.{Gen, Prop, Test}
+import org.scalacheck.rng.Seed
 import repro.SparkSpec
+import repro.util.ColumnName.quote
 
 class PreprocessSpec extends SparkSpec {
 
@@ -321,5 +325,186 @@ class PreprocessSpec extends SparkSpec {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
     assert(jobs <= 2, s"jobs=$jobs")
+  }
+
+  // ------------------------------------------------------------------
+  // Reference: `fit` as two Spark queries (one aggregation for the numeric
+  // stats and null counts, one window query for the frequency-ranked
+  // dictionaries), kept verbatim so the one-pass `fit` is compared against
+  // the rule it replaced.
+
+  private object TwoQueryFit {
+    private val MaxDecimals = 6
+    private val TwoTo63: Double = math.pow(2, 63)
+    import Preprocess.{MaxDictSize, MaxGd}
+
+    def fit(df: DataFrame): Array[ColumnSpec] = {
+      val fields = df.schema.fields
+      val aggs = count(lit(1)).as("__rows") +: fields.flatMap { f =>
+        val nonNull = count(col(quote(f.name))).as(s"${f.name}__count")
+        if (f.dataType == StringType) Seq(nonNull)
+        else {
+          val fractional = isFractional(f.dataType)
+          val x = numericAsLong(f).cast(if (fractional) DoubleType else LongType)
+          val fracs = if (!fractional) Nil else (0 to MaxDecimals).map { p =>
+            val scaled = x * math.pow(10, p)
+            max(abs(scaled - rint(scaled))).as(s"${f.name}__frac$p")
+          }
+          (nonNull +: fracs) :+ min(x).as(s"${f.name}__min") :+ max(x).as(s"${f.name}__max")
+        }
+      }
+      val row = df.agg(aggs.head, aggs.tail.toIndexedSeq: _*).collect()(0)
+      val dicts = dictionaries(df)
+
+      fields.zipWithIndex.map { case (f, i) =>
+        def stat(s: String): Option[Double] = Option(row.getAs[Any](s"${f.name}__$s")).map(_.asInstanceOf[Double])
+        def spanError(gdMax: Any) = new IllegalArgumentException(
+          s"column ${f.name} spans $gdMax in the GD domain; GreedyGD needs its maximum plus one in a Long")
+        val kind = f.dataType match {
+          case StringType => CategoricalCol(dicts.getOrElse(i, Array.empty))
+          case t if !isFractional(t) =>
+            def long(s: String): Long = Option(row.getAs[Any](s"${f.name}__$s")).fold(0L)(_.asInstanceOf[Long])
+            val minScaled = long("min")
+            val gdMax = BigInt(long("max")) - minScaled
+            if (gdMax > BigInt(MaxGd.toLong)) throw spanError(gdMax)
+            NumericCol(1, minScaled)
+          case t =>
+            if (stat("frac0").exists(_.isNaN))
+              throw new IllegalArgumentException(
+                s"column ${f.name} holds NaN or infinite values; GD encoding needs finite numbers")
+            val p = (0 to MaxDecimals).find(p => stat(s"frac$p").forall(_ < 1e-6)).getOrElse(MaxDecimals)
+            val scale = math.pow(10, p).toLong
+            val minScaled = math.rint(stat("min").getOrElse(0.0) * scale)
+            if (!(minScaled >= -TwoTo63 && minScaled < TwoTo63))
+              throw new IllegalArgumentException(
+                s"column ${f.name} has scaled minimum $minScaled; the GD shift needs it in a Long")
+            val gdMax = math.rint(stat("max").getOrElse(0.0) * scale) - minScaled
+            if (!(gdMax <= MaxGd)) throw spanError(gdMax)
+            NumericCol(scale, minScaled.toLong)
+        }
+        ColumnSpec(f.name, kind, row.getAs[Long]("__rows") - row.getAs[Long](s"${f.name}__count"))
+      }
+    }
+
+    private def dictionaries(df: DataFrame): Map[Int, Array[String]] = {
+      val fields = df.schema.fields
+      val pairs = fields.indices.collect {
+        case i if fields(i).dataType == StringType => struct(lit(i).as("idx"), col(quote(fields(i).name)).as("value"))
+      }
+      if (pairs.isEmpty) Map.empty
+      else {
+        val byIdx = Window.partitionBy("idx").orderBy(desc("count"), col("value"))
+        val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
+        val ranked = df
+          .select(explode(array(pairs: _*)).as("e"))
+          .select("e.idx", "e.value")
+          .filter(col("value").isNotNull)
+          .groupBy("idx", "value").count()
+          .withColumn("rank", row_number().over(byIdx))
+          .withColumn("distinct", count(lit(1)).over(wholeIdx))
+          .filter(col("rank") <= MaxDictSize)
+          .select("idx", "value", "rank", "distinct")
+          .collect()
+        ranked.groupBy(_.getInt(0)).map { case (i, rows) =>
+          val distinct = rows.head.getLong(3)
+          if (distinct > MaxDictSize)
+            throw new IllegalArgumentException(
+              s"string column ${fields(i).name} has $distinct distinct values; " +
+                s"dictionary encoding supports at most $MaxDictSize")
+          i -> rows.sortBy(_.getInt(2)).map(_.getString(1))
+        }
+      }
+    }
+
+    private def isFractional(t: DataType): Boolean = t match {
+      case DoubleType | FloatType | _: DecimalType => true
+      case _                                       => false
+    }
+
+    private def numericAsLong(f: StructField): Column = {
+      val c = col(quote(f.name))
+      f.dataType match {
+        case DateType       => datediff(c, lit("1970-01-01").cast(DateType))
+        case TimestampType  => unix_timestamp(c)
+        case BooleanType    => c.cast(IntegerType)
+        case _: NumericType => c
+        case other          => throw new IllegalArgumentException(s"unsupported type $other for ${f.name}")
+      }
+    }
+  }
+
+  /** A spec as text, or the message of the rejection. */
+  private def outcome(fit: => Array[ColumnSpec]): Either[String, Seq[String]] =
+    try Right(fit.toSeq.map { s =>
+      val kind = s.kind match {
+        case NumericCol(sc, mn)   => s"num($sc,$mn)"
+        case CategoricalCol(dict) => s"cat(${dict.mkString("|")})"
+      }
+      s"${s.name}:$kind:${s.nullCount}"
+    })
+    catch { case e: IllegalArgumentException => Left(e.getMessage) }
+
+  private val genSchema = StructType(Seq(
+    StructField("by", ByteType), StructField("sh", ShortType), StructField("in", IntegerType),
+    StructField("lo", LongType), StructField("fl", FloatType), StructField("db", DoubleType),
+    StructField("grid", DoubleType), StructField("dec", DecimalType(10, 3)), StructField("dt", DateType),
+    StructField("ts", TimestampType), StructField("bo", BooleanType), StructField("s1", StringType),
+    StructField("s2", StringType)
+  ))
+
+  /** Values with count ties and UTF-8 orders that differ from UTF-16's. */
+  private val words = Seq("a", "b", "ab", "", "é", "z", "\uFF61", "\uD83D\uDE00", "Ω")
+
+  /** Off-grid doubles; now and then one that `fit` must reject. */
+  private val offGrid: Gen[Double] = Gen.frequency(
+    60 -> Gen.choose(-1e6, 1e6),
+    10 -> Gen.oneOf(0.1 + 0.2, 1.0000002, 2.5, -2.5, 0.49999999999999994, 1.0000005, 1e15 + 0.5, -0.0,
+      Double.MinPositiveValue),
+    1 -> Gen.oneOf(1e300, -1e19, Double.NaN, Double.PositiveInfinity, Double.NegativeInfinity)
+  )
+
+  private def cell(f: StructField): Gen[Any] = f.name match {
+    case "by"   => Gen.choose(Byte.MinValue, Byte.MaxValue)
+    case "sh"   => Gen.choose(Short.MinValue, Short.MaxValue)
+    case "in"   => Gen.choose(-1000, 1000)
+    case "lo"   => Gen.oneOf(Gen.choose(-(1L << 50), 1L << 50), Gen.choose(-3L, 3L))
+    case "fl"   => Gen.oneOf(Gen.choose(-1e4f, 1e4f), Gen.oneOf(1.1f, -3.25f, 0.5f))
+    case "db"   => offGrid
+    case "grid" => Gen.choose(-4000, 4000).map(_ * 0.25)
+    case "dec"  => Gen.choose(-9999999L, 9999999L).map(v => java.math.BigDecimal.valueOf(v, 3))
+    case "dt"   => Gen.choose(-20000L, 40000L).map(d => java.sql.Date.valueOf(java.time.LocalDate.ofEpochDay(d)))
+    case "ts"   => Gen.choose(-2000000000L * 1000000L, 2000000000L * 1000000L).map { us =>
+        java.sql.Timestamp.from(java.time.Instant.EPOCH.plus(us, java.time.temporal.ChronoUnit.MICROS))
+      }
+    case "bo"   => Gen.oneOf(true, false)
+    case _      => Gen.oneOf(words)
+  }
+
+  /** Rows of `genSchema`; every cell is null with probability `pNull`. */
+  private val genRows: Gen[Seq[Row]] = for {
+    n <- Gen.frequency(1 -> Gen.const(0), 8 -> Gen.choose(1, 40))
+    pNull <- Gen.oneOf(0.0, 0.2, 1.0)
+    rows <- Gen.listOfN(n, Gen.sequence[Seq[Any], Any](genSchema.fields.toSeq.map { f =>
+      Gen.choose(0.0, 1.0).flatMap(u => if (u < pNull) Gen.const(null) else cell(f))
+    }))
+  } yield rows.map(Row.fromSeq)
+
+  test("fit equals the two-query reference on random frames in 1, 3 and 7 partitions") {
+    val prop = Prop.forAllNoShrink(genRows) { rows =>
+      def frame(parts: Int) = spark.createDataFrame(spark.sparkContext.parallelize(rows, parts), genSchema)
+      val want = outcome(TwoQueryFit.fit(frame(3)))
+      Prop.all(Seq(1, 3, 7).map { parts =>
+        val got = outcome(Preprocess.fit(frame(parts)))
+        Prop(got == want) :| s"parts=$parts\n got $got\nwant $want\nrows ${rows.mkString("; ")}"
+      }: _*)
+    }
+    val params = Test.Parameters.default.withMinSuccessfulTests(30).withInitialSeed(Seed(20261020L))
+    val res = Test.check(params, prop)
+    assert(res.passed, res.status.toString)
+  }
+
+  test("fit equals the two-query reference on the fixed frames") {
+    for (frame <- Seq(df, strings, strings.select("n")))
+      assert(outcome(Preprocess.fit(frame)) == outcome(TwoQueryFit.fit(frame)))
   }
 }
