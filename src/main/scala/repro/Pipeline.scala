@@ -41,9 +41,12 @@ object Pipeline {
       buildMs: Double // the builder alone, without ingest or sampling
   )
 
+  /** @throws IllegalArgumentException if `Preprocess.fit` rejects a column,
+    *   or a GD value that reaches the builder lies beyond ±2^53
+    */
   def build(raw: DataFrame, nS: Int, seed: Long, mode: Mode): Built = {
-    val n = raw.count()
     val pre = Preprocess.run(raw)
+    val n = pre.nRows
     val compressed = GreedyGD.run(pre.df, math.min(nS, GdSampleRows), seed)
     val seeds = GreedyGD.seeds(compressed, pre.specs)
     val (sample, (ph, buildMs)) = mode match {

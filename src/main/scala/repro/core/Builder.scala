@@ -3,7 +3,7 @@ package repro.core
 import java.util.concurrent.{Callable, ExecutionException, Executors}
 
 import org.apache.spark.sql.DataFrame
-import repro.gd.ColumnSpec
+import repro.gd.{ColumnSpec, Preprocess}
 
 import scala.collection.mutable.ArrayBuffer
 
@@ -88,12 +88,14 @@ object Builder {
 
   /** Deterministic unbiased sample of up to `nS` rows as column-major
     * doubles (see [[repro.util.Sampling]] for why limit() is not used).
+    *
+    * @throws IllegalArgumentException if a value lies beyond ±2^53
     */
   def collectSample(gdDf: DataFrame, n: Long, nS: Int, seed: Long): Array[Array[Double]] = {
-    val d = gdDf.columns.length
+    val names = gdDf.columns
     val rows = repro.util.Sampling.collectRows(gdDf, nS, seed, n)
-    Array.tabulate(d) { c =>
-      rows.map(r => if (r.isNullAt(c)) Double.NaN else r.getLong(c).toDouble)
+    Array.tabulate(names.length) { c =>
+      rows.map(r => if (r.isNullAt(c)) Double.NaN else Preprocess.exactDouble(r.getLong(c), names(c)))
     }
   }
 

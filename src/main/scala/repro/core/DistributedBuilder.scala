@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.gd.ColumnSpec
+import repro.gd.{ColumnSpec, Preprocess}
 import repro.util.ColumnName.quote
 
 /** Distributed PairwiseHist construction (the `distributed_dataflow` path).
@@ -33,10 +33,13 @@ object DistributedBuilder {
 
   /** The one Spark job: distinct rows of `df` with their multiplicities, as
     * column-major doubles (NaN for null) and a weight array.
+    *
+    * @throws IllegalArgumentException if a value lies beyond ±2^53
     */
   private def distinctRows(df: DataFrame): (Array[Array[Double]], Array[Long]) = {
-    val d = df.columns.length
-    val keys = df.columns.toIndexedSeq.map(c => df.col(quote(c)))
+    val names = df.columns
+    val d = names.length
+    val keys = names.toIndexedSeq.map(c => df.col(quote(c)))
     val rows = df.groupBy(keys: _*).count().collect()
     val values = Array.fill(d)(new Array[Double](rows.length))
     val wts = new Array[Long](rows.length)
@@ -45,7 +48,7 @@ object DistributedBuilder {
       val r = rows(q)
       var c = 0
       while (c < d) {
-        values(c)(q) = if (r.isNullAt(c)) Double.NaN else r.getLong(c).toDouble
+        values(c)(q) = if (r.isNullAt(c)) Double.NaN else Preprocess.exactDouble(r.getLong(c), names(c))
         c += 1
       }
       wts(q) = r.getLong(d)

@@ -1,11 +1,8 @@
 package repro.gd
 
-import java.util.concurrent.ConcurrentHashMap
-
-import org.apache.spark.sql.DataFrame
-import org.apache.spark.sql.expressions.Window
+import org.apache.spark.sql.{DataFrame, Row}
 import org.apache.spark.sql.functions._
-import org.apache.spark.sql.types.LongType
+import org.apache.spark.sql.types.{LongType, StructField, StructType}
 import repro.util.ColumnName.quote
 
 /** Generalized Deduplication with greedy base-bit selection (GreedyGD, [8]).
@@ -21,7 +18,9 @@ import repro.util.ColumnName.quote
   * if that reduces the estimated storage, until no move helps. The search
   * runs on a collected sample (bit selection is a statistics problem, not a
   * data-volume problem); the chosen split is then applied to the full
-  * DataFrame.
+  * DataFrame. [[run]] is three Spark jobs: the row count, the sample, and
+  * one pass that dedups the bases. The driver holds the sample and the base
+  * table; the seeds are read from the latter with no further job.
   *
   * Nulls are encoded internally as value 0 with all data shifted +1, so the
   * base/deviation split is total and lossless.
@@ -50,12 +49,17 @@ object GreedyGD {
     }
   }
 
+  /** `baseRows` is the base table on the driver: the distinct masked,
+    * +1-shifted rows in ascending order, row r having `gd_base_id` r in
+    * `bases`.
+    */
   final case class Compressed(
-      bases: DataFrame, // base_id + one masked column per input column
+      bases: DataFrame, // one masked column per input column + gd_base_id
       deviations: DataFrame, // base_id + one low-bits column per input column
       config: Config,
       nBases: Long,
-      nRows: Long
+      nRows: Long,
+      baseRows: Array[Array[Long]]
   ) {
 
     /** Estimated compressed size in bytes ([[Config.storageBytes]]). */
@@ -66,13 +70,21 @@ object GreedyGD {
 
     def ratio: Double = originalBytes.toDouble / compressedBytes
 
-    private val seedMemo = new ConcurrentHashMap[Int, Map[String, Array[Double]]]()
-
-    /** Per-column seeds under `cap`, computed for every column at once on
-      * first use (see [[distinctBases]]) and memoised per cap.
+    /** The distinct non-null base values of column `c` in the GD domain,
+      * ascending, read from [[baseRows]] with no Spark job. A column with
+      * `n > cap` of them keeps the value at rank `r` (0-based) when
+      * `r * cap / n` starts a new integer: exactly `cap` values, evenly spaced
+      * in rank.
+      *
+      * @throws IllegalArgumentException if a value lies beyond ±2^53
       */
-    private[gd] def baseSeeds(cap: Int): Map[String, Array[Double]] =
-      seedMemo.computeIfAbsent(cap, c => distinctBases(bases, c))
+    private[gd] def baseSeeds(c: Int, cap: Int): Array[Double] = {
+      val name = bases.columns(c)
+      val vs = baseRows.iterator.map(_(c)).filter(_ > 0L).toArray.distinct.sorted // 0 is the shifted null
+      val n = vs.length.toLong
+      val kept = if (n <= cap) vs else vs.indices.filter(r => r == 0 || r.toLong * cap / n > (r - 1L) * cap / n).map(vs).toArray
+      kept.map(v => Preprocess.exactDouble(v - 1L, name)) // undo the +1 null shift
+    }
 
     /** Lossless reconstruction: join deviations to bases and OR the parts. */
     def decompress(columns: Array[String]): DataFrame = {
@@ -99,12 +111,13 @@ object GreedyGD {
 
     def cost(dev: Array[Int]): Long = {
       val config = Config(dev, totalBits)
-      val seen = new java.util.HashSet[java.util.List[java.lang.Long]]()
+      val masks = Array.tabulate(d)(config.baseMask)
+      val seen = new RowSet(d)
+      val key = new Array[Long](d)
       shifted.foreach { row =>
-        val key = new java.util.ArrayList[java.lang.Long](d)
         var c = 0
-        while (c < d) { key.add(row(c) & config.baseMask(c)); c += 1 }
-        seen.add(key)
+        while (c < d) { key(c) = row(c) & masks(c); c += 1 }
+        seen.add(key, 0)
       }
       config.storageBytes(seen.size, shifted.length)
     }
@@ -146,34 +159,50 @@ object GreedyGD {
   }
 
   /** Compress a GD-domain DataFrame (nullable LongType columns) with the
-    * given config. All heavy lifting is DataFrame dataflow: masking is a
-    * projection; base dedup is a distinct + id assignment.
+    * given config. The base table comes from one Spark job with no shuffle:
+    * each partition dedups its masked, +1-shifted rows into a [[RowSet]], and
+    * the driver merges the sets. So the driver holds nBases × d longs: GD's
+    * dictionary, the part [[Config.storageBytes]] already counts. `bases` is
+    * a DataFrame over those rows; `deviations` stays a lazy join with it.
     */
   def compress(df: DataFrame, config: Config, nRows: Long): Compressed = {
     val cols = df.columns
-    val shifted = df.select(cols.map(c => coalesce(col(quote(c)) + 1L, lit(0L)).as(c)).toIndexedSeq: _*)
+    require(df.schema.forall(_.dataType == LongType), s"GreedyGD needs LongType columns: ${df.schema.simpleString}")
+    val d = cols.length
+    val masks = Array.tabulate(d)(config.baseMask)
+    val merged = new RowSet(d)
+    df.queryExecution.toRdd.mapPartitions { rows =>
+      val set = new RowSet(d)
+      val key = new Array[Long](d)
+      rows.foreach { r =>
+        var c = 0
+        while (c < d) { key(c) = (if (r.isNullAt(c)) 0L else r.getLong(c) + 1L) & masks(c); c += 1 }
+        set.add(key, 0)
+      }
+      Iterator(set.packed)
+    }.collect().foreach(merged.addAll)
+    val baseRows = merged.sorted
+    val schema = StructType((cols :+ "gd_base_id").map(StructField(_, LongType, nullable = false)))
+    val bases = df.sparkSession.createDataFrame(
+      java.util.Arrays.asList(baseRows.indices.map(id => Row.fromSeq(baseRows(id).toSeq :+ id.toLong)): _*),
+      schema)
 
     // Project base (masked MSBs) and deviation (low bits) side by side.
+    val shifted = df.select(cols.map(c => coalesce(col(quote(c)) + 1L, lit(0L)).as(c)).toIndexedSeq: _*)
     val projected = shifted.select(
       (cols.zipWithIndex.map { case (c, i) =>
-        bitwiseAnd(col(quote(c)), config.baseMask(i)).as(s"__b_$c")
+        bitwiseAnd(col(quote(c)), masks(i)).as(s"__b_$c")
       } ++ cols.zipWithIndex.map { case (c, i) =>
-        bitwiseAnd(col(quote(c)), ~config.baseMask(i)).as(s"__d_$c")
+        bitwiseAnd(col(quote(c)), ~masks(i)).as(s"__d_$c")
       }).toIndexedSeq: _*
     )
-    val bases = projected
-      .select(cols.map(c => col(quote(s"__b_$c")).as(c)).toIndexedSeq: _*)
-      .distinct()
-      .withColumn("gd_base_id", monotonically_increasing_id())
-      .cache()
-    val nBases = bases.count()
     val deviations = projected
       .join(
         bases,
         cols.map(c => projected(quote(s"__b_$c")) === bases(quote(c))).reduce(_ && _)
       )
       .select((Seq(col("gd_base_id")) ++ cols.map(c => col(quote(s"__d_$c")).as(c))).toIndexedSeq: _*)
-    Compressed(bases, deviations, config, nBases, nRows)
+    Compressed(bases, deviations, config, baseRows.length.toLong, nRows, baseRows)
   }
 
   /** End-to-end: choose a config from a sample of `df`, then compress. */
@@ -189,48 +218,93 @@ object GreedyGD {
   /** Distinct base values of `column` in the GD domain (null base dropped),
     * sorted: the seeds for PairwiseHist initial bin edges (§3). A column with
     * more than `maxValues` of them keeps `maxValues`, evenly spaced in rank.
-    * Reads the memo on `compressed`, so calling this for every column costs
-    * one Spark query in total.
+    * Reads the base table on the driver, so it runs no Spark job.
+    *
+    * @throws IllegalArgumentException if a value lies beyond ±2^53
     */
-  def baseValues(compressed: Compressed, column: String, maxValues: Int = SeedCap): Array[Double] =
-    compressed.baseSeeds(maxValues)(column)
+  def baseValues(compressed: Compressed, column: String, maxValues: Int = SeedCap): Array[Double] = {
+    val c = compressed.bases.columns.indexOf(column)
+    require(c >= 0 && column != "gd_base_id", s"no column $column")
+    compressed.baseSeeds(c, maxValues)
+  }
 
   /** [[baseValues]] of every column, keyed by column index in `specs`. */
   def seeds(compressed: Compressed, specs: Array[ColumnSpec]): Map[Int, Array[Double]] =
     specs.indices.map(i => i -> baseValues(compressed, specs(i).name)).toMap
-
-  /** Distinct non-null base values of every column of a base table, in one
-    * Spark query. A column with `n > cap` of them keeps the value at rank `r`
-    * (0-based, ascending) when `r * cap / n` starts a new integer, i.e.
-    * exactly `cap` values evenly spaced in rank, whatever the partitioning.
-    */
-  private[gd] def distinctBases(bases: DataFrame, cap: Int): Map[String, Array[Double]] = {
-    val cols = bases.columns.filterNot(_ == "gd_base_id")
-    val byIdx = Window.partitionBy("idx").orderBy("v")
-    val wholeIdx = byIdx.rowsBetween(Window.unboundedPreceding, Window.unboundedFollowing)
-    val picked = bases
-      .select(explode(array(cols.zipWithIndex.map { case (c, i) =>
-        struct(lit(i).as("idx"), col(quote(c)).as("v"))
-      }.toIndexedSeq: _*)).as("e"))
-      .select("e.idx", "e.v")
-      .filter(col("v") > 0L) // 0 is the shifted null
-      .repartition(col("idx")) // one shuffle serves both the distinct and the window
-      .distinct()
-      .withColumn("r", row_number().over(byIdx) - 1L)
-      .withColumn("n", count(lit(1)).over(wholeIdx))
-      .filter(col("n") <= cap || col("r") === 0L || expr(s"(r * $cap) div n > ((r - 1) * $cap) div n"))
-      .select("idx", "v")
-      .collect()
-    val byCol = picked.groupBy(_.getInt(0))
-    cols.indices.map { i =>
-      val shifted = byCol.getOrElse(i, Array.empty).map(_.getLong(1)).sorted
-      cols(i) -> shifted.map(v => (v - 1L).toDouble) // undo the +1 null shift
-    }.toMap
-  }
 
   private def ceilDiv(a: Int, b: Int): Int = (a + b - 1) / b
 
   /** Bitwise AND helper for a column against a literal mask. */
   private def bitwiseAnd(c: org.apache.spark.sql.Column, mask: Long) =
     c.bitwiseAND(lit(mask))
+}
+
+/** A set of rows of `d` longs each, stored one after another in one array
+  * and indexed by open addressing: GreedyGD's base dedup, both on a sample
+  * and in every partition, with no object per row.
+  */
+private[gd] final class RowSet(d: Int) {
+  private var rows = new Array[Long](16 * math.max(1, d))
+  private var slots = Array.fill(32)(-1) // row number, or -1 for empty
+  private var n = 0
+
+  def size: Int = n
+
+  /** Adds `a(off until off + d)` unless an equal row is in the set. */
+  def add(a: Array[Long], off: Int): Unit = {
+    var s = hash(a, off) & (slots.length - 1)
+    while (slots(s) >= 0) {
+      if (equal(slots(s), a, off)) return
+      s = (s + 1) & (slots.length - 1)
+    }
+    if ((n + 1) * d > rows.length) rows = java.util.Arrays.copyOf(rows, 2 * rows.length)
+    System.arraycopy(a, off, rows, n * d, d)
+    slots(s) = n
+    n += 1
+    if (2 * n > slots.length) rehash()
+  }
+
+  /** Adds every row of a [[packed]] array. */
+  def addAll(packed: Array[Long]): Unit = {
+    var off = 0
+    while (off < packed.length) { add(packed, off); off += d }
+  }
+
+  /** The rows, one after another, in the order they were added. */
+  def packed: Array[Long] = java.util.Arrays.copyOf(rows, n * d)
+
+  /** The rows in ascending lexicographic order. */
+  def sorted: Array[Array[Long]] = {
+    val out = Array.tabulate(n)(r => java.util.Arrays.copyOfRange(rows, r * d, (r + 1) * d))
+    java.util.Arrays.sort(out, (x: Array[Long], y: Array[Long]) => java.util.Arrays.compare(x, y))
+    out
+  }
+
+  private def equal(r: Int, a: Array[Long], off: Int): Boolean = {
+    var c = 0
+    while (c < d && rows(r * d + c) == a(off + c)) c += 1
+    c == d
+  }
+
+  private def hash(a: Array[Long], off: Int): Int = {
+    var h = 0x9E3779B97F4A7C15L
+    var c = 0
+    while (c < d) {
+      h = (h ^ a(off + c)) * 0xBF58476D1CE4E5B9L
+      h ^= h >>> 31
+      c += 1
+    }
+    (h ^ (h >>> 32)).toInt
+  }
+
+  private def rehash(): Unit = {
+    slots = Array.fill(2 * slots.length)(-1)
+    var r = 0
+    while (r < n) {
+      var s = hash(rows, r * d) & (slots.length - 1)
+      while (slots(s) >= 0) s = (s + 1) & (slots.length - 1)
+      slots(s) = r
+      r += 1
+    }
+  }
 }

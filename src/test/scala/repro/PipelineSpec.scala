@@ -52,4 +52,12 @@ class PipelineSpec extends SparkSpec {
       assert(new Engine(b.ph).run(q).exists(_.estimate > 0), s"$mode query")
     }
   }
+
+  test("a GD value beyond 2^53 is rejected with its column's name in both modes, not rounded") {
+    val frame = spark.range(2).select((col("id") * ((1L << 53) + 1)).as("big"))
+    for (mode <- Seq(Pipeline.Local, Pipeline.Distributed)) {
+      val e = intercept[IllegalArgumentException](Pipeline.build(frame, 2000, 3L, mode))
+      assert(e.getMessage.contains("column big "), s"$mode: ${e.getMessage}")
+    }
+  }
 }

@@ -116,16 +116,30 @@ class GreedyGDSpec extends SparkSpec {
     val once = GreedyGD.baseValues(allBase, "x", cap)
     assert(GreedyGD.baseValues(allBase, "x", cap).toSeq == once.toSeq)
     for (parts <- Seq(1, 7)) {
-      assert(GreedyGD.distinctBases(allBase.bases.repartition(parts), cap)("x").toSeq == once.toSeq, s"parts=$parts")
+      val c = GreedyGD.compress(allBaseSource.repartition(parts), allBase.config, 1000L)
+      assert(GreedyGD.baseValues(c, "x", cap).toSeq == once.toSeq, s"parts=$parts")
     }
   }
 
-  test("baseValues over every column of one Compressed runs one Spark job") {
+  test("baseValues over every column of one Compressed runs no Spark job") {
     val c = GreedyGD.run(gdDf, sampleRows = 5000)
     val specs = gdDf.columns.map(n => ColumnSpec(n, NumericCol(1L, 0L), 0L))
     val (seeds, jobs) = SparkJobCounter(spark)(GreedyGD.seeds(c, specs))
     assert(seeds.keySet == specs.indices.toSet)
-    assert(jobs <= 1, s"jobs=$jobs")
+    assert(jobs == 0, s"jobs=$jobs")
+  }
+
+  test("GreedyGD.run runs at most three Spark jobs: the count, the sample and the base pass") {
+    val (c, jobs) = SparkJobCounter(spark)(GreedyGD.run(gdDf, sampleRows = 5000))
+    assert(c.nBases > 0)
+    assert(jobs <= 3, s"jobs=$jobs")
+  }
+
+  test("a base value beyond 2^53 is rejected with its column's name, not rounded") {
+    val big = spark.range(2).select((col("id") * ((1L << 53) + 1)).as("big"))
+    val c = GreedyGD.compress(big, GreedyGD.Config(Array(0), Array(54)), 2L)
+    val e = intercept[IllegalArgumentException](GreedyGD.baseValues(c, "big"))
+    assert(e.getMessage.contains("column big "), e.getMessage)
   }
 
   /** Reference: the base table as a Spark `distinct` of the masked, +1-shifted

@@ -321,10 +321,15 @@ class PreprocessSpec extends SparkSpec {
     assert(r.df.collect().map(_.getLong(0)).sorted.toSeq == vs.map(_ - vs.head))
   }
 
-  test("fit runs two Spark jobs on a frame with three string columns") {
+  test("fit runs one Spark job on a frame with three string columns") {
     val (specs, jobs) = SparkJobCounter(spark)(Preprocess.fit(strings))
     assert(specs.count(_.isCategorical) == 3)
-    assert(jobs <= 2, s"jobs=$jobs")
+    assert(jobs == 1, s"jobs=$jobs")
+  }
+
+  test("run counts the rows in fit's pass") {
+    assert(result.nRows == 6)
+    assert(Preprocess.run(strings.filter(col("n") < 0)).nRows == 0)
   }
 
   // ------------------------------------------------------------------
