@@ -108,7 +108,7 @@ object Preprocess {
   /** Largest magnitude of a GD value carried as a double: above 2^53 a
     * double skips integers.
     */
-  val MaxExactGd: Long = 1L << 53
+  private val MaxExactGd: Long = 1L << 53
 
   /** `v`, a GD value of `column`, as a double, where the builders and the
     * synopsis carry it.
