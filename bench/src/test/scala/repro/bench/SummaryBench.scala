@@ -54,7 +54,7 @@ class SummaryBench extends SparkSpec {
     val df = Datasets.byName("power")(spark, 0.05).cache()
     val built = Pipeline.build(df, nS = 20000, seed = 42, Pipeline.Local)
     val compressed = built.compressed
-    val synopsis = Codec.sizeBytes(built.ph)
+    val synopsis = Codec.measure(built.ph).total
 
     val raw = compressed.originalBytes
     val gd = compressed.compressedBytes

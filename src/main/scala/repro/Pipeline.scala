@@ -47,7 +47,7 @@ object Pipeline {
   def build(raw: DataFrame, nS: Int, seed: Long, mode: Mode): Built = {
     val pre = Preprocess.run(raw)
     val n = pre.nRows
-    val compressed = GreedyGD.run(pre.df, math.min(nS, GdSampleRows), seed)
+    val compressed = GreedyGD.run(pre.df, math.min(nS, GdSampleRows), seed, n)
     val seeds = GreedyGD.seeds(compressed, pre.specs)
     val (sample, (ph, buildMs)) = mode match {
       case Local =>

@@ -37,8 +37,6 @@ object Codec {
   /** Encoded size with an Eq-11-style breakdown (params / 1-d / 2-d / counts). */
   def measure(ph: PairwiseHist): SizeBreakdown = write(ph)._2
 
-  def sizeBytes(ph: PairwiseHist): Long = measure(ph).total
-
   /** The layout: writes `ph` once and tallies the bytes of each section. */
   private def write(ph: PairwiseHist): (Array[Byte], SizeBreakdown) = {
     val bos = new ByteArrayOutputStream()

@@ -18,9 +18,9 @@ import repro.util.ColumnName.quote
   * if that reduces the estimated storage, until no move helps. The search
   * runs on a collected sample (bit selection is a statistics problem, not a
   * data-volume problem); the chosen split is then applied to the full
-  * DataFrame. [[run]] is three Spark jobs: the row count, the sample, and
-  * one pass that dedups the bases. The driver holds the sample and the base
-  * table; the seeds are read from the latter with no further job.
+  * DataFrame. [[run]] is three Spark jobs (two if given the row count): the
+  * count, the sample, and one pass that dedups the bases. The driver holds
+  * the sample and the base table; the seeds are read from it with no job.
   *
   * Nulls are encoded internally as value 0 with all data shifted +1, so the
   * base/deviation split is total and lossless.
@@ -206,9 +206,11 @@ object GreedyGD {
   }
 
   /** End-to-end: choose a config from a sample of `df`, then compress. */
-  def run(df: DataFrame, sampleRows: Int, seed: Long = 7): Compressed = {
+  def run(df: DataFrame, sampleRows: Int, seed: Long = 7): Compressed = run(df, sampleRows, seed, df.count())
+
+  /** [[run]] on a frame known to hold `nRows` rows: no count job. */
+  def run(df: DataFrame, sampleRows: Int, seed: Long, nRows: Long): Compressed = {
     val d = df.columns.length
-    val nRows = df.count()
     val local = repro.util.Sampling
       .collectRows(df, sampleRows, seed, nRows)
       .map(r => Array.tabulate(d)(c => if (r.isNullAt(c)) -1L else r.getLong(c)))

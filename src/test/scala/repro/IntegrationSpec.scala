@@ -63,7 +63,7 @@ class IntegrationSpec extends SparkSpec {
   }
 
   test("synopsis is orders of magnitude smaller than the data") {
-    val synopsisBytes = Codec.sizeBytes(built.ph)
+    val synopsisBytes = Codec.measure(built.ph).total
     val dataBytes = built.ph.n * df.columns.length * 8L // fixed-width estimate
     assert(synopsisBytes * 20 < dataBytes, s"synopsis=$synopsisBytes data=$dataBytes")
   }

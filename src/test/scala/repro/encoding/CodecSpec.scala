@@ -42,7 +42,7 @@ class CodecSpec extends AnyFunSuite {
 
   test("synopsis is small: sub-100KB for a 3-column sample") {
     val ph = buildSample()
-    val size = Codec.sizeBytes(ph)
+    val size = Codec.measure(ph).total
     assert(size < 100 * 1024, s"size=$size")
   }
 

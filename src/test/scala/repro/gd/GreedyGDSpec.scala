@@ -133,6 +133,13 @@ class GreedyGDSpec extends SparkSpec {
     val (c, jobs) = SparkJobCounter(spark)(GreedyGD.run(gdDf, sampleRows = 5000))
     assert(c.nBases > 0)
     assert(jobs <= 3, s"jobs=$jobs")
+    // Given the row count, the count job goes and the result stays the same.
+    val (counted, countedJobs) = SparkJobCounter(spark)(GreedyGD.run(gdDf, 5000, 7, c.nRows))
+    assert(countedJobs <= 2, s"jobs=$countedJobs")
+    assert(counted.config.devBits.toSeq == c.config.devBits.toSeq)
+    assert(counted.config.totalBits.toSeq == c.config.totalBits.toSeq)
+    assert(counted.nBases == c.nBases && counted.nRows == c.nRows)
+    assert(counted.baseRows.map(_.toSeq).toSeq == c.baseRows.map(_.toSeq).toSeq)
   }
 
   test("a base value beyond 2^53 is rejected with its column's name, not rounded") {

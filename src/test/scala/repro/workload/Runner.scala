@@ -54,7 +54,7 @@ object Runner {
     Built(
       ph, new Engine(ph), spn, dbest,
       p.buildMs, (t1 - t0) / 1e6, (t2 - t1) / 1e6,
-      Codec.sizeBytes(ph), spn.sizeBytes, dbestSize
+      Codec.measure(ph).total, spn.sizeBytes, dbestSize
     )
   }
 
